@@ -262,8 +262,7 @@ def _cmd_search(args) -> int:
     for d in ratios:
         res = search.exhaustive_search(
             args.n, d, mode=mode, max_results=args.max_results,
-            budget_seconds=args.budget, threads=args.threads,
-            max_order=args.max_order,
+            budget_seconds=args.budget, max_order=args.max_order,
         )
         all_complete &= res.complete
         block = {
@@ -435,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", type=int, default=None,
                    help="stop after this many hits per ratio")
     p.add_argument("--budget", type=float, default=None, help="seconds")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-order", type=int, default=search.DEFAULT_SEARCH_MAX_ORDER)
     p.add_argument("--count-only", action="store_true",
                    help="report counts without serializing the matrices")

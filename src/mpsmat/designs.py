@@ -219,7 +219,8 @@ def paley_conference(order: int) -> np.ndarray:
     chi = np.array([_legendre(x, q) for x in range(q)], dtype=np.int64)
     idx = np.arange(q)
     c[1:, 1:] = chi[(idx[:, None] - idx[None, :]) % q]
-    assert verify_conference(c)
+    if not verify_conference(c):
+        raise DesignInvalidError(f"Paley matrix of order {order} is not a conference matrix")
     return c
 
 
@@ -336,7 +337,8 @@ def design_params_for(n: int, d: int) -> Optional[DesignParams]:
     if not (v > k >= 1 and lam >= 0):
         return None
     # Algebraic inverses of the parameter map.
-    assert d == 2 * lam + q - 1 and n == 4 * k + 2 * q
+    if d != 2 * lam + q - 1 or n != 4 * k + 2 * q:
+        raise DesignInvalidError(f"parameters (q={q}, k={k}, lambda={lam}) miss (n={n}, d={d})")
     return DesignParams(q=q, k=k, lam=lam)
 
 

@@ -178,15 +178,17 @@ def validate(m: IntegerMps) -> None:
 def encode_matrix(two_q: np.ndarray) -> np.ndarray:
     """Row-major uint8 codes: diagonal +2d -> 0, -2d -> 3; off-diag +2 -> 1, -2 -> 2.
 
-    Zero diagonal entries (d = 0) code as 0.  The byte string of this array is
-    the total order used for sorted search output and canonical minimality.
+    Takes one matrix (n, n) or a stack (..., n, n) and returns codes of shape
+    (..., n*n).  Zero diagonal entries (d = 0) code as 0.  The byte string of
+    one matrix's codes is the total order used for sorted search output and
+    canonical minimality.
     """
-    n = two_q.shape[0]
+    n = two_q.shape[-1]
     neg = two_q < 0
-    codes = np.where(neg, 2, 1).astype(np.uint8)
+    codes = neg.astype(np.uint8) + np.uint8(1)
     idx = np.arange(n)
-    codes[idx, idx] = np.where(neg[idx, idx], 3, 0)
-    return codes.reshape(-1)
+    codes[..., idx, idx] = 3 * neg[..., idx, idx]
+    return codes.reshape(*two_q.shape[:-2], n * n)
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,8 @@ def to_standard_form(m: IntegerMps) -> StandardForm:
     t = Transform(perm=tuple(int(x) for x in order),
                   signs=tuple(int(s) for s in signs), global_sign=g)
     out = IntegerMps(d=m.d, two_q=work)
-    assert np.array_equal(t.apply(q), work)
+    if not np.array_equal(t.apply(q), work):
+        raise StructureViolationError("standard-form transform does not reproduce its matrix")
     return StandardForm(mps=out, p=p, transform=t)
 
 
@@ -348,17 +351,21 @@ def three_row_counts(sf: StandardForm, j: int, k: int) -> ThreeRowCounts:
         a, b = r2[c] > 0, r3[c] > 0
         ells[0 if (a and b) else 1 if a else 2 if b else 3] += 1
     ells_t = tuple(ells)
-    assert sum(ells_t) == n - 3
+    if sum(ells_t) != n - 3:
+        raise StructureViolationError(f"column classes {ells_t} do not sum to n - 3")
     if branch == 1:
         # 4*ell_4 = n - 2 + 2d and 4*ell_1 = n - 6 - 6d
-        assert 4 * ells_t[3] == n - 2 + 2 * d and 4 * ells_t[0] == n - 6 - 6 * d
+        identities = 4 * ells_t[3] == n - 2 + 2 * d and 4 * ells_t[0] == n - 6 - 6 * d
         congruence_ok = (Fraction(n) + 2 * d - 2) % 4 == 0
         slack = Fraction(n) - 6 * d - 6
     else:
         # 4*ell_4 = n - 6 + 6d and 4*ell_1 = n - 2 - 2d
-        assert 4 * ells_t[3] == n - 6 + 6 * d and 4 * ells_t[0] == n - 2 - 2 * d
+        identities = 4 * ells_t[3] == n - 6 + 6 * d and 4 * ells_t[0] == n - 2 - 2 * d
         congruence_ok = (Fraction(n) - 2 * d - 2) % 4 == 0
         slack = Fraction(0)
+    if not identities:
+        raise StructureViolationError(
+            f"three-row counts {ells_t} break the branch {branch:+d} identities")
     return ThreeRowCounts(branch=branch, ells=ells_t, congruence_ok=congruence_ok,
                           slack=slack)
 

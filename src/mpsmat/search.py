@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import IntegerMps, Transform, encode_matrix
+from .exact import IntegerMps, StructureViolationError, Transform, encode_matrix
 
 __all__ = [
     "TooLargeError",
@@ -206,9 +205,7 @@ def _sorted_stack(n: int, pieces: list[np.ndarray]) -> np.ndarray:
     if not pieces:
         return np.empty((0, n, n), dtype=np.int8)
     stack = np.concatenate(pieces, axis=0)
-    codes = np.empty((stack.shape[0], n * n), dtype=np.uint8)
-    for i, q in enumerate(stack):
-        codes[i] = encode_matrix(q.astype(np.int64))
+    codes = encode_matrix(stack)
     order = np.lexsort(codes.T[::-1])
     return stack[order]
 
@@ -221,7 +218,8 @@ def _check_stack(stack: np.ndarray, two_d: int) -> None:
     r32 = stack.astype(np.int64)
     grams = np.einsum("kij,klj->kil", r32, r32)
     target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int64)
-    assert np.all(grams == target[None, :, :])
+    if not np.all(grams == target[None, :, :]):
+        raise StructureViolationError("a search hit fails (2Q)(2Q)^T = (4d^2 + 4n - 4) I")
 
 
 def exhaustive_search(
@@ -230,7 +228,6 @@ def exhaustive_search(
     mode: str = "all",
     max_results: Optional[int] = None,
     budget_seconds: Optional[float] = None,
-    threads: int = 1,
     max_order: int = DEFAULT_SEARCH_MAX_ORDER,
 ) -> SearchResult:
     """Enumerate the real MPS matrices of order n with ratio d, exactly.
@@ -238,10 +235,13 @@ def exhaustive_search(
     ``mode="all"`` lists every matrix; ``mode="up_to_equivalence"`` explores
     only standard-form assignments and returns one canonical representative
     per equivalence class.  Output is sorted in the fixed row-major encoding,
-    so it is deterministic and independent of chunking or thread count.
+    so it is deterministic and independent of chunking.
 
-    ``max_results`` stops after that many hits, ``budget_seconds`` bounds the
-    wall-clock time; both mark the result incomplete when they fire early.
+    ``max_results`` stops the enumeration after that many hits,
+    ``budget_seconds`` bounds the wall-clock time of the enumeration; both
+    mark the result incomplete when they fire early.  In
+    ``up_to_equivalence`` mode ``max_results`` caps the standard-form hits
+    explored, so at most that many classes come back.
     """
     started = time.monotonic()
     if n < 2:
@@ -262,37 +262,16 @@ def exhaustive_search(
 
     pieces: list[np.ndarray] = []
     complete = True
-    if threads > 1:
-        jobs = []
-        for plan in plans:
-            first = plan[0]
-            step = max(1, -(-first.shape[0] // threads))
-            for lo in range(0, first.shape[0], step):
-                sub = [first[lo:lo + step]] + plan[1:]
-                jobs.append(sub)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_dfs, n, job, deadline, None) for job in jobs]
-            for fut in futures:
-                res, comp = fut.result()
-                pieces.extend(res)
-                complete &= comp
-    else:
-        budget_hit = False
-        for plan in plans:
-            remaining = None if max_results is None else max_results - sum(
-                p.shape[0] for p in pieces)
-            if remaining is not None and remaining <= 0:
-                complete = False
-                break
-            res, comp = _dfs(n, plan, deadline, remaining)
-            pieces.extend(res)
-            if not comp:
-                complete = False
-                if deadline is not None and time.monotonic() > deadline:
-                    budget_hit = True
-                    break
-        if budget_hit:
+    for plan in plans:
+        remaining = None if max_results is None else max_results - sum(
+            p.shape[0] for p in pieces)
+        if remaining is not None and remaining <= 0:
             complete = False
+            break
+        res, complete = _dfs(n, plan, deadline, remaining)
+        pieces.extend(res)
+        if not complete:
+            break
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
@@ -306,9 +285,6 @@ def exhaustive_search(
         stack = _sorted_stack(n, [q[None, :, :] for q in reps.values()])
     else:
         stack = _sorted_stack(n, pieces)
-        if max_results is not None and stack.shape[0] > max_results:
-            stack = stack[:max_results]
-            complete = False
     _check_stack(stack, two_d)
     return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
                         complete=complete, elapsed=time.monotonic() - started)
@@ -361,16 +337,6 @@ def _perm_pool(k: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(k))), dtype=np.int64)
 
 
-def _encode_batch(gathered: np.ndarray) -> np.ndarray:
-    """Row-major codes for a batch of gathered matrices, shape (B, n*n)."""
-    b, n, _ = gathered.shape
-    codes = np.where(gathered < 0, 2, 1).astype(np.uint8)
-    idx = np.arange(n)
-    diag = gathered[:, idx, idx]
-    codes[:, idx, idx] = np.where(diag < 0, 3, 0)
-    return codes.reshape(b, n * n)
-
-
 def canonical_transform(
     m: IntegerMps, max_order: int = DEFAULT_CANONICAL_MAX_ORDER
 ) -> tuple[IntegerMps, Transform]:
@@ -409,13 +375,14 @@ def canonical_transform(
                 [np.full((pool.shape[0], 1), i1, dtype=np.int64), rem[pool]], axis=1
             )
             gathered = signed[orders[:, :, None], orders[:, None, :]]
-            codes = _encode_batch(gathered)
+            codes = encode_matrix(gathered)
             idx = int(np.lexsort(codes.T[::-1])[0])
             key = codes[idx].tobytes()
             if best_key is None or key < best_key:
                 best_key = key
                 best = (g, orders[idx].copy(), sigma.copy())
-    assert best is not None
+    if best is None:
+        raise StructureViolationError("no diagonal entry is +d under either global sign")
     g, order, sigma = best
     t = Transform(
         perm=tuple(int(x) for x in order),
@@ -446,5 +413,6 @@ def are_equivalent(
     if c1 != c2:
         return None
     witness = t2.inverse().compose(t1)
-    assert witness.apply_mps(m1) == m2
+    if witness.apply_mps(m1) != m2:
+        raise StructureViolationError("the equivalence witness does not map m1 to m2")
     return witness

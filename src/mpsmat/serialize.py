@@ -109,7 +109,7 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
         entries = obj.get("entries")
         if entries is None:
             raise FormatError("complex documents need an entries field")
-        a = np.array([[complex(re, im) for re, im in row] for row in entries])
+        a = _complex_array(entries)
         if a.shape != (n, n):
             raise FormatError(f"entries must be {n} x {n}")
         return a
@@ -179,8 +179,26 @@ def _complex_rows_to_obj(a: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.atleast_2d(a)]
 
 
+def _complex_array(rows) -> np.ndarray:
+    """Rows of [re, im] cells as a complex array; FormatError for anything else."""
+    try:
+        cells = [[_complex_cell(*cell) for cell in row] for row in rows]
+    except (TypeError, OverflowError) as exc:
+        raise FormatError("complex cells must be [re, im] pairs of numbers") from exc
+    try:
+        return np.array(cells, dtype=complex)
+    except ValueError as exc:
+        raise FormatError("complex rows must all have the same length") from exc
+
+
+def _complex_cell(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("booleans are not numbers")
+    return complex(re, im)
+
+
 def _complex_rows_from_obj(rows, shape) -> np.ndarray:
-    a = np.array([[complex(re, im) for re, im in row] for row in rows])
+    a = _complex_array(rows)
     if a.shape != shape:
         raise FormatError(f"block must have shape {shape}")
     return a

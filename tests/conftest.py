@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mpsmat
 
 # A Hadamard matrix of order 12, hard-coded so tests can exercise orders the
 # built-in providers (Sylvester powers of two) do not reach.
@@ -53,3 +58,11 @@ def random_hermitian_unitary(n: int, m: int, rng: np.random.Generator) -> np.nda
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def subprocess_env() -> dict:
+    """Environment for a child interpreter that imports this mpsmat checkout."""
+    src = str(Path(mpsmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,12 +113,6 @@ class TestSearch:
         assert all("matrices" not in blk for blk in obj["results"])
         counts = {blk["d"]: blk["count"] for blk in obj["results"]}
         assert counts["3/2"] == 32
-
-    def test_thread_count_does_not_change_output(self, capsys):
-        _, seq = run(capsys, "search", "--n", "5", "--d", "3/2")
-        _, par = run(capsys, "search", "--n", "5", "--d", "3/2",
-                     "--threads", "3")
-        assert seq == par
 
 
 class TestCanonEquiv:
@@ -251,3 +247,25 @@ class TestUsageErrors:
         p = tmp_path / "junk.json"
         p.write_text("{not json")
         assert main(["verify", str(p)]) == 1
+
+
+_BAD_CELL_DOCS = [
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[1]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[1, 0, 0]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[["1", "0"]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[True, False]]]}),
+    (["verify"], {"n": 2, "kind": "complex", "entries": [[[1, 0]], [[1, 0], [0, 0]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": 5}),
+    (["param", "decode"], {"n": 2, "m": 1, "T": [[1]], "S_h": None, "P": [1, 2]}),
+    (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": [[None]], "P": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("argv,doc", _BAD_CELL_DOCS)
+def test_malformed_complex_cells_fail_without_traceback(argv, doc, subprocess_env):
+    proc = subprocess.run([sys.executable, "-m", "mpsmat.cli", *argv],
+                          input=json.dumps(doc), capture_output=True, text=True,
+                          env=subprocess_env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: bad input")
+    assert "Traceback" not in proc.stderr

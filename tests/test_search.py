@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from mpsmat.exact import (
     Transform,
+    encode_matrix,
     full_j_mps,
     structure_check,
     upper_interval_mps,
@@ -71,11 +75,11 @@ class TestExhaustiveSearch:
         res = exhaustive_search(8, 1, budget_seconds=0.0)
         assert not res.complete
 
-    def test_threads_give_identical_output(self):
-        seq = exhaustive_search(6, 2, threads=1)
-        par = exhaustive_search(6, 2, threads=4)
-        assert np.array_equal(seq.two_q_stack, par.two_q_stack)
-        assert par.complete
+    def test_max_results_caps_classes_in_equivalence_mode(self):
+        # (6, 2) has two classes; one standard-form hit can only yield one.
+        res = exhaustive_search(6, 2, mode="up_to_equivalence", max_results=1)
+        assert res.count == 1
+        assert not res.complete
 
     def test_non_integral_doubled_ratio_is_empty(self):
         res = exhaustive_search(6, Fraction(1, 3))
@@ -115,6 +119,47 @@ class TestExhaustiveSearch:
         forms = {canonical_form(m).encode() for m in full.matrices()}
         reps = exhaustive_search(n, d, mode="up_to_equivalence")
         assert {m.encode() for m in reps.matrices()} == forms
+
+
+def _plain_sort_key(q):
+    """Row-major key +d -> 0, +1 -> 1, -1 -> 2, -d -> 3, written without numpy."""
+    n = len(q)
+    return [(0 if q[i][j] >= 0 else 3) if i == j else (1 if q[i][j] > 0 else 2)
+            for i in range(n) for j in range(n)]
+
+
+class TestHitOrder:
+    def test_search_output_matches_plain_python_sort(self):
+        hits = exhaustive_search(8, 3).two_q_stack.tolist()
+        assert len(hits) == 9216
+        assert hits == sorted(hits, key=_plain_sort_key)
+
+    @pytest.mark.parametrize("n,d", [(6, 0), (6, 2), (7, Fraction(5, 2))])
+    def test_stack_encoding_matches_per_matrix_encoding(self, n, d):
+        stack = exhaustive_search(n, d).two_q_stack
+        codes = encode_matrix(stack)
+        assert codes.shape == (stack.shape[0], n * n)
+        for q, row in zip(stack, codes):
+            assert np.array_equal(row, encode_matrix(q))
+        nested = stack.reshape(2, -1, n, n)
+        assert np.array_equal(encode_matrix(nested), codes.reshape(2, -1, n * n))
+
+
+def test_check_stack_raises_under_python_O(subprocess_env):
+    script = textwrap.dedent("""
+        import numpy as np
+        from mpsmat.exact import StructureViolationError
+        from mpsmat.search import _check_stack
+        assert False, "assert statements still run: -O did not take effect"
+        try:
+            _check_stack(np.zeros((1, 4, 4), np.int8), 2)
+        except StructureViolationError:
+            raise SystemExit(0)
+        raise SystemExit("_check_stack accepted a stack that breaks the Gram identity")
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=subprocess_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCanonicalForm:
