@@ -16,16 +16,25 @@ equivalence group (simultaneous permutations x paired sign flips x global
 negation) in the fixed row-major encoding +d < +1 < -1 < -d.  Minimality is
 found by exploiting the sign gauge: once a global sign and a leading row are
 chosen, all sign flips are forced by making the leading row non-negative, so
-only (n-1)! orderings remain and they are scanned in vectorized batches.
+only the orderings of the other n-1 rows remain.  They are searched by exact
+partition refinement in the style of McKay, "Practical graph isomorphism"
+(1981): with rows 0..k-1 placed, the row-major code orders the unplaced
+vertices by their codes towards the placed rows, so a minimal ordering keeps
+them in those ordered cells, and row k is fixed by the vertex picked from the
+first cell.  Branches whose fixed rows exceed the best code so far are cut,
+and so are branches that an automorphism of the gauge-fixed code matrix maps
+onto an earlier branch.  Every cut removes only orderings that are larger
+than, or equal to and lexicographically after, another ordering; so the
+search returns the lexicographically first minimizing ordering, which is the
+one a full scan of all (n-1)! orderings returns, and the canonical form and
+its transform are the scan's exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -50,6 +59,9 @@ DEFAULT_CANONICAL_MAX_ORDER = 8
 
 #: Cap on the number of rows held in one vectorized search block.
 _BLOCK_ROWS = 1 << 16
+
+#: Hits per int32 chunk of the final Gram check.
+_CHECK_CHUNK = 4096
 
 
 class TooLargeError(ValueError):
@@ -211,15 +223,18 @@ def _sorted_stack(n: int, pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def _check_stack(stack: np.ndarray, two_d: int) -> None:
-    """Batch-verify the exact orthogonality identity over all hits."""
-    if stack.shape[0] == 0:
-        return
+    """Batch-verify the exact orthogonality identity over all hits.
+
+    Works through the stack in chunks of int32 copies; a Gram entry is at
+    most 4d^2 + 4n - 4 in absolute value, far inside the int32 range.
+    """
     n = stack.shape[1]
-    r32 = stack.astype(np.int64)
-    grams = np.einsum("kij,klj->kil", r32, r32)
-    target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int64)
-    if not np.all(grams == target[None, :, :]):
-        raise StructureViolationError("a search hit fails (2Q)(2Q)^T = (4d^2 + 4n - 4) I")
+    target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int32)
+    for lo in range(0, stack.shape[0], _CHECK_CHUNK):
+        chunk = stack[lo:lo + _CHECK_CHUNK].astype(np.int32)
+        if not np.all(chunk @ chunk.transpose(0, 2, 1) == target):
+            raise StructureViolationError(
+                "a search hit fails (2Q)(2Q)^T = (4d^2 + 4n - 4) I")
 
 
 def exhaustive_search(
@@ -238,10 +253,11 @@ def exhaustive_search(
     so it is deterministic and independent of chunking.
 
     ``max_results`` stops the enumeration after that many hits,
-    ``budget_seconds`` bounds the wall-clock time of the enumeration; both
-    mark the result incomplete when they fire early.  In
-    ``up_to_equivalence`` mode ``max_results`` caps the standard-form hits
-    explored, so at most that many classes come back.
+    ``budget_seconds`` bounds the wall-clock time of the enumeration and of
+    the canonicalization of its hits; both mark the result incomplete when
+    they fire early.  In ``up_to_equivalence`` mode ``max_results`` caps the
+    standard-form hits explored, so at most that many classes come back, and
+    a budget that runs out between hits returns the classes found so far.
     """
     started = time.monotonic()
     if n < 2:
@@ -275,13 +291,15 @@ def exhaustive_search(
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
-        for piece in pieces:
-            for q in piece:
-                cf, _ = canonical_transform(
-                    IntegerMps(d=d, two_q=q.astype(np.int64)),
-                    max_order=max(max_order, DEFAULT_CANONICAL_MAX_ORDER),
-                )
-                reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
+        for q in (q for piece in pieces for q in piece):
+            if deadline is not None and time.monotonic() > deadline:
+                complete = False
+                break
+            cf, _ = canonical_transform(
+                IntegerMps(d=d, two_q=q.astype(np.int64)),
+                max_order=max(max_order, DEFAULT_CANONICAL_MAX_ORDER),
+            )
+            reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
         stack = _sorted_stack(n, [q[None, :, :] for q in reps.values()])
     else:
         stack = _sorted_stack(n, pieces)
@@ -332,9 +350,94 @@ def naive_search(n: int, d, max_order: int = 6) -> list[IntegerMps]:
     return [IntegerMps(d=d, two_q=q) for q in hits]
 
 
-@lru_cache(maxsize=None)
-def _perm_pool(k: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+def _least_ordering(codes: list[list[int]], first: int,
+                    bound: Optional[list[int]]) -> Optional[tuple[list[int], list[int]]]:
+    """Lexicographically first ordering starting at ``first`` that minimizes
+    the row-major code of ``codes`` (a symmetric n x n code matrix), as
+    ``(code, ordering)``; None unless that code is strictly below ``bound``.
+
+    The search carries the ordered partition of the unplaced vertices
+    described in the module docstring.  A child w is skipped when an automorphism of
+    ``codes`` fixing the placed vertices maps an earlier kept child v to w,
+    since every ordering through w then has an equal-code ordering through v
+    that comes first: a swap of twins, or a product of the maps between
+    leaves of equal code.
+    """
+    n = len(codes)
+    best_code, best_order = bound, None
+    autos: list[list[int]] = []
+    tied_bound = False
+
+    def descend(order: list[int], code: list[int], cells: list[list[int]]) -> None:
+        nonlocal best_code, best_order, tied_bound
+        if not cells:
+            if best_code is None or code < best_code:
+                best_code, best_order = code, order
+            elif code == best_code:
+                if best_order is None:
+                    # A leaf equal to the bound maps the code matrix that
+                    # set the bound onto this one, first vertex to first
+                    # vertex, so both have the same least code.
+                    tied_bound = True
+                else:
+                    gamma = [0] * n
+                    for x, y in zip(best_order, order):
+                        gamma[x] = y
+                    autos.append(gamma)
+            return
+        branches = []
+        for v in cells[0]:
+            cv = codes[v]
+            row = [cv[o] for o in order]
+            row.append(cv[v])
+            split = []
+            for cell in cells:
+                for c in (1, 2):
+                    part = [x for x in cell if x != v and cv[x] == c]
+                    if part:
+                        row.extend([c] * len(part))
+                        split.append(part)
+            branches.append((row, v, split))
+        least = min(row for row, _, _ in branches)
+        prefix = code + least
+        kept: list[int] = []
+        for row, w, split in branches:
+            if row != least:
+                continue
+            if tied_bound or (best_code is not None and prefix > best_code[:len(prefix)]):
+                return
+            if kept and _in_orbit(codes, w, kept, [g for g in autos
+                                                   if all(g[o] == o for o in order)]):
+                continue
+            kept.append(w)
+            descend(order + [w], prefix, split)
+
+    rest = [x for x in range(n) if x != first]
+    descend([], [], [[first], rest])
+    if best_order is None:
+        return None
+    return best_code, best_order
+
+
+def _in_orbit(codes: list[list[int]], w: int, kept: list[int],
+              gens: list[list[int]]) -> bool:
+    """Whether an automorphism of ``codes`` built from ``gens``, or a swap of
+    twins, maps some vertex of ``kept`` to ``w``."""
+    cw = codes[w]
+    for v in kept:
+        cv = codes[v]
+        if cv[v] == cw[w] and all(cv[x] == cw[x] for x in range(len(codes))
+                                  if x != v and x != w):
+            return True
+    orbit = {w}
+    frontier = [w]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return not orbit.isdisjoint(kept)
 
 
 def canonical_transform(
@@ -343,9 +446,13 @@ def canonical_transform(
     """Canonical form plus a group element realizing it.
 
     Minimizes the row-major encoding over global sign, leading row choice and
-    row ordering; the paired sign flips are forced once the leading row is
-    pinned to non-negative entries, which is what makes the scan feasible.
-    Two matrices are equivalent iff their canonical forms are identical.
+    row ordering.  The paired sign flips are forced once the leading row is
+    pinned to non-negative entries; the ordering is then found by exact
+    partition refinement (``_least_ordering``).  Among equal codes the first
+    global sign, then the first leading row, then the lexicographically first
+    ordering wins, so the form and the transform are those of a scan over all
+    2n (n-1)! candidates.  Two matrices are equivalent iff their canonical
+    forms are identical.
     """
     n = m.n
     if n > max_order:
@@ -353,13 +460,12 @@ def canonical_transform(
     q = m.two_q
     two_d = m.two_d
     diag = np.diagonal(q)
-    pool = _perm_pool(n - 1)
-    best_key: Optional[bytes] = None
-    best: Optional[tuple[int, np.ndarray, np.ndarray]] = None
+    best_code: Optional[list[int]] = None
+    best: Optional[tuple[int, list[int], np.ndarray]] = None
     for g in (1, -1):
         if two_d == 0:
             # Zero diagonal: the global sign changes the matrix but not the
-            # leading diagonal code, so both branches must be scanned.
+            # leading diagonal code, so both branches must be searched.
             rows = range(n)
         else:
             # The (0, 0) code of a candidate is minimal iff its diagonal
@@ -370,17 +476,11 @@ def canonical_transform(
             mask = np.arange(n) != i1
             sigma[mask] = np.sign(g * q[i1, mask])
             signed = g * q * np.outer(sigma, sigma)
-            rem = np.flatnonzero(mask)
-            orders = np.concatenate(
-                [np.full((pool.shape[0], 1), i1, dtype=np.int64), rem[pool]], axis=1
-            )
-            gathered = signed[orders[:, :, None], orders[:, None, :]]
-            codes = encode_matrix(gathered)
-            idx = int(np.lexsort(codes.T[::-1])[0])
-            key = codes[idx].tobytes()
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (g, orders[idx].copy(), sigma.copy())
+            found = _least_ordering(encode_matrix(signed).reshape(n, n).tolist(),
+                                    i1, best_code)
+            if found is not None:
+                best_code, order = found
+                best = (g, order, sigma)
     if best is None:
         raise StructureViolationError("no diagonal entry is +d under either global sign")
     g, order, sigma = best

@@ -118,6 +118,8 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
     rows = obj.get("q_entries")
     if rows is None:
         raise FormatError("real-exact documents need a q_entries field")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("q_entries must be a list of rows")
     fracs = [[_parse_frac(x) for x in row] for row in rows]
     if len(fracs) != n or any(len(r) != n for r in fracs):
         raise FormatError(f"q_entries must be {n} x {n}")

@@ -258,6 +258,8 @@ _BAD_CELL_DOCS = [
     (["verify"], {"n": 1, "kind": "complex", "entries": 5}),
     (["param", "decode"], {"n": 2, "m": 1, "T": [[1]], "S_h": None, "P": [1, 2]}),
     (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": [[None]], "P": [1, 2]}),
+    (["verify"], {"n": 1, "kind": "real-exact", "q_entries": 5}),
+    (["verify"], {"n": 1, "kind": "real-exact", "q_entries": [["1", "1"], 3]}),
 ]
 
 

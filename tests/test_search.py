@@ -1,14 +1,19 @@
+import hashlib
+import itertools
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpsmat import search
 from mpsmat.exact import (
+    IntegerMps,
     Transform,
     encode_matrix,
     full_j_mps,
@@ -17,6 +22,8 @@ from mpsmat.exact import (
 )
 from mpsmat.search import (
     TooLargeError,
+    _dfs,
+    _row_plans,
     are_equivalent,
     candidate_ratios,
     canonical_form,
@@ -73,6 +80,25 @@ class TestExhaustiveSearch:
 
     def test_budget_flag(self):
         res = exhaustive_search(8, 1, budget_seconds=0.0)
+        assert not res.complete
+
+    def test_budget_covers_canonicalization(self, monkeypatch):
+        # The clock stands still through the DFS and runs out during the
+        # first canonicalization, so the loop must stop before the second.
+        clock = [0.0]
+        calls = []
+        real = search.canonical_transform
+
+        def expiring(*args, **kwargs):
+            calls.append(1)
+            clock[0] = 100.0
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "canonical_transform", expiring)
+        res = exhaustive_search(8, 1, mode="up_to_equivalence", budget_seconds=1.0)
+        assert len(calls) == 1
+        assert res.count == 1
         assert not res.complete
 
     def test_max_results_caps_classes_in_equivalence_mode(self):
@@ -209,6 +235,98 @@ class TestCanonicalForm:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             canonical_form(full_j_mps(9))
+
+
+def _scan_transform(m):
+    """Brute-force canonical transform: for each global sign and admissible
+    leading row, fix the sign gauge, sort the codes of all (n-1)! orderings
+    (generated in lexicographic order) with a stable sort and keep the first
+    minimum; a later gauge wins only with a strictly smaller code."""
+    n, q = m.n, m.two_q
+    diag = np.diagonal(q)
+    pool = np.array(list(itertools.permutations(range(n - 1))), dtype=np.int64)
+    best_key, best = None, None
+    for g in (1, -1):
+        rows = range(n) if m.two_d == 0 else [i for i in range(n) if g * diag[i] > 0]
+        for i1 in rows:
+            sigma = np.ones(n, dtype=np.int64)
+            mask = np.arange(n) != i1
+            sigma[mask] = np.sign(g * q[i1, mask])
+            signed = g * q * np.outer(sigma, sigma)
+            orders = np.concatenate(
+                [np.full((len(pool), 1), i1), np.flatnonzero(mask)[pool]], axis=1)
+            codes = encode_matrix(signed[orders[:, :, None], orders[:, None, :]])
+            idx = int(np.lexsort(codes.T[::-1])[0])
+            if best_key is None or codes[idx].tobytes() < best_key:
+                best_key, best = codes[idx].tobytes(), (g, orders[idx], sigma)
+    g, order, sigma = best
+    t = Transform(perm=tuple(int(x) for x in order),
+                  signs=tuple(int(sigma[x]) for x in order), global_sign=g)
+    return t.apply_mps(m), t
+
+
+def _assert_matches_scan(m, max_order=8):
+    form, t = canonical_transform(m, max_order=max_order)
+    want_form, want_t = _scan_transform(m)
+    assert t == want_t
+    assert form == want_form
+
+
+def _standard_form_hits(n, d):
+    """Every raw standard-form hit of the search, before canonicalization."""
+    for plan in _row_plans(n, int(2 * d), "up_to_equivalence"):
+        pieces, complete = _dfs(n, plan, None, None)
+        assert complete
+        for piece in pieces:
+            for q in piece:
+                yield IntegerMps(d=d, two_q=q.astype(np.int64))
+
+
+class TestCanonicalOracle:
+    """The refinement search returns the brute-force scan's exact
+    (form, transform) pair."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_all_mode_hit(self, n):
+        for d in candidate_ratios(n):
+            for m in exhaustive_search(n, d).matrices():
+                _assert_matches_scan(m)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_every_standard_form_hit(self, n):
+        seen = 0
+        for d in candidate_ratios(n):
+            if (2 * d).denominator == 1:
+                for m in _standard_form_hits(n, d):
+                    _assert_matches_scan(m)
+                    seen += 1
+        assert seen > 0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_scrambled_order_eight_classes(self, d):
+        rng = np.random.default_rng(20111)
+        reps = exhaustive_search(8, d, mode="up_to_equivalence").matrices()
+        assert reps
+        for rep in reps:
+            for _ in range(20):
+                t = Transform(perm=tuple(int(x) for x in rng.permutation(8)),
+                              signs=tuple(int(x) for x in rng.choice([-1, 1], 8)),
+                              global_sign=int(rng.choice([-1, 1])))
+                _assert_matches_scan(t.apply_mps(rep))
+
+    def test_full_j_order_nine(self):
+        _assert_matches_scan(full_j_mps(9), max_order=9)
+
+    def test_order_nine_and_ten_classes(self):
+        # Representatives checked against the scan once; the scan costs
+        # about 33 s at n = 10, so only their digest is pinned here.
+        nine = exhaustive_search(9, Fraction(7, 2), mode="up_to_equivalence", max_order=10)
+        ten = exhaustive_search(10, 4, mode="up_to_equivalence", max_order=10)
+        assert nine.complete and nine.count == 1
+        assert ten.complete and ten.count == 2
+        digest = hashlib.sha256(nine.two_q_stack.tobytes() + ten.two_q_stack.tobytes())
+        assert digest.hexdigest() == (
+            "093b20450c9605db33c3dab301fb3c6ac5e94d18e2b1b062f2282ec7d5e538cc")
 
 
 class TestAreEquivalent:
