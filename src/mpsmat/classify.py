@@ -11,9 +11,10 @@ when none fires, tries to attach a constructed witness:
   design-nonexistence   d in [n/4 - 3/2, n/2 - 1) but no integer design
                         parameters (q, k, lam) fit (n, d)
 
-Witnesses come from the construction families (full-J, the 2x2 family, the
-real interval endpoints, conference matrices, conference blocks, and the
-design construction with the built-in providers).  Surviving pairs without a
+Witnesses are the real members of the registry ``families.FAMILIES``, tried
+in its order (full-J, the 2x2 family, the real interval endpoints, conference
+blocks, and the design construction with the built-in providers), then
+conference matrices at d = 0.  Surviving pairs without a
 provider-backed witness are reported ``open``: either the reduction to a
 symmetric design succeeded but no such design is available here, or the pair
 lies in the small-ratio region the theory does not settle.
@@ -25,26 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .designs import (
-    BadOrderError,
-    SymmetricDesign,
-    design_params_for,
-    hadamard_to_design,
-    identity_design,
-    paley_conference,
-    sylvester_hadamard,
-)
-from .exact import (
-    IntegerMps,
-    conference_block_mps,
-    conference_mps,
-    design_mps,
-    full_j_mps,
-    two_by_two_mps,
-    upper_interval_mps,
-)
+from .designs import design_params_for, provider_conference, provider_design
+from .exact import IntegerMps, conference_mps
+from .families import FAMILIES
 
 __all__ = [
     "EXISTS",
@@ -101,59 +85,24 @@ class Verdict:
                 raise ValueError(f"impossible verdict must cite one of {allowed}")
 
 
-def provider_design(v: int, k: int, lam: int) -> Optional[SymmetricDesign]:
-    """Built-in design providers for the requested parameters, if any.
-
-    Covers the degenerate (v, 1, 0) identity designs and the Hadamard-derived
-    (N-1, N/2-1, N/4-1) designs for Sylvester orders N = 2^t.
-    """
-    if k == 1 and lam == 0:
-        return identity_design(v)
-    n_had = v + 1
-    if (
-        k == n_had // 2 - 1
-        and lam == n_had // 4 - 1
-        and n_had >= 4
-        and n_had & (n_had - 1) == 0
-    ):
-        return hadamard_to_design(sylvester_hadamard(n_had))
-    return None
-
-
-def provider_conference(order: int) -> Optional[np.ndarray]:
-    """Built-in symmetric conference matrix of the given order, if any."""
-    try:
-        return paley_conference(order)
-    except BadOrderError:
-        return None
+#: Witness rule of each family with real members.
+_RULES = {"full_j": "full-j", "n2": "two-by-two", "upper_interval": "interval-endpoint",
+          "conference_block": "conference-block", "design_real": "design"}
 
 
 def _witness(n: int, d: Fraction) -> Optional[tuple[str, IntegerMps, str]]:
-    """Try the construction families in a fixed order; (rule, witness, note)."""
-    if d == Fraction(n, 2) - 1:
-        return "full-j", full_j_mps(n), ""
+    """Try the registry's families in order, then a conference matrix of
+    order n at d = 0; (rule, witness, note)."""
+    for name, family in FAMILIES.items():
+        witness = family.exact(n, d)
+        if witness is not None:
+            return _RULES[name], witness, ""
     if n == 2:
-        if (2 * d).denominator == 1:
-            return "two-by-two", two_by_two_mps(d), ""
         return "two-by-two", None, "2x2 family exists for every d >= 0"
-    if n % 2 == 0 and d == Fraction(n, 2) - 3:
-        return "interval-endpoint", upper_interval_mps(n, d), ""
-    if d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d:
-        params = design_params_for(n, int(d))
-        if params is not None:
-            design = provider_design(n // 2, params.k, params.lam)
-            if design is not None:
-                note = "degenerate design (lam = 0)" if design.degenerate else ""
-                return "design", design_mps(design, n, int(d)), note
-            return None
     if d == 0:
         c = provider_conference(n)
         if c is not None:
             return "conference", conference_mps(c), ""
-    if d == 1 and n % 2 == 0:
-        c = provider_conference(n // 2)
-        if c is not None:
-            return "conference-block", conference_block_mps(c), ""
     return None
 
 
@@ -191,19 +140,18 @@ def necessary_conditions(n: int, d) -> Verdict:
             if design_params_for(n, int(d)) is None:
                 return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_NONEXISTENCE)
 
+    design_range = d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1
+    params = design_params_for(n, int(d)) if design_range else None
     found = _witness(n, d)
     if found is not None:
         rule, witness, note = found
-        if d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1:
-            params = design_params_for(n, int(d))
-            if params is not None and params.lam == 0:
-                extra = ("existence rests on the degenerate "
-                         f"({n // 2}, 1, 0)-design (lam = 0)")
-                note = f"{note}; {extra}" if note else extra
+        if params is not None and params.lam == 0:
+            note = f"existence rests on the degenerate ({n // 2}, 1, 0)-design (lam = 0)"
+            if rule == "design":
+                note = f"degenerate design (lam = 0); {note}"
         return Verdict(n, d, EXISTS, rule, witness=witness, detail=note)
 
-    if d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1:
-        params = design_params_for(n, int(d))
+    if params is not None:
         return Verdict(
             n, d, OPEN, "design-required",
             detail=f"reduces to a symmetric ({n // 2}, {params.k}, {params.lam})-design; "

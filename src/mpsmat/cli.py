@@ -78,42 +78,24 @@ def _emit_matrix(matrix, args) -> None:
 
 
 def _parse_ratio(text: str) -> Fraction:
+    """A rational ratio; decimals that Fraction rejects go through float.
+    Infinite, NaN and float-overflowing values are usage errors."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
         try:
-            return Fraction(float(text)).limit_denominator(10**6)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad ratio {text!r}")
+            ratio = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            ratio = Fraction(float(text)).limit_denominator(10**6)
+        float(ratio)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"bad ratio {text!r}")
+    return ratio
 
 
-def _aux_design(args, n: int, d: Fraction | None):
-    if args.aux:
-        return serialize.design_from_obj(json.loads(_read_text(args.aux)))
-    if d is not None and d.denominator == 1:
-        params = designs.design_params_for(n, int(d))
-        if params is not None:
-            provided = _classify.provider_design(n // 2, params.k, params.lam)
-            if provided is not None:
-                return provided
-    raise SystemExit(_fail("no design available; pass --aux FILE"))
-
-
-def _default_complex_design(args, n: int, d: float | None):
-    """Provider design for the phase family: any design whose ratio interval
-    covers d (the exact (n, d) parameter match is only a real-case need)."""
-    if args.aux:
-        return serialize.design_from_obj(json.loads(_read_text(args.aux)))
-    candidates = []
-    n_had = n // 2 + 1
-    if n_had >= 4 and n_had & (n_had - 1) == 0:
-        candidates.append(designs.hadamard_to_design(designs.sylvester_hadamard(n_had)))
-    candidates.append(designs.identity_design(n // 2))
-    for design in candidates:
-        floor = n / 2 - 1 - 2 * (design.k - design.lam)
-        if d is None or floor - 1e-12 <= d <= n / 2 - 1 + 1e-12:
-            return design
-    raise SystemExit(_fail("no design covers this ratio; pass --aux FILE"))
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _fail(message: str, code: int = EXIT_NEGATIVE) -> int:
@@ -121,73 +103,34 @@ def _fail(message: str, code: int = EXIT_NEGATIVE) -> int:
     return code
 
 
+def _load_aux(path: str, kind: str):
+    text = _read_text(path)
+    if kind == "design":
+        return serialize.design_from_obj(json.loads(text))
+    return np.asarray(serialize.loads_matrix(text))
+
+
 def _cmd_construct(args) -> int:
-    n = args.n
-    d = args.d
-    fam = args.family
-    if fam == "full_j":
-        _emit_matrix(exact.full_j_mps(n), args)
-        return EXIT_OK
-    if fam == "n2":
-        if d is None:
-            return _fail("n2 needs --d")
-        if (2 * d).denominator == 1:
-            _emit_matrix(exact.two_by_two_mps(d), args)
-        else:
-            _emit_matrix(families.n2_matrix(float(d)), args)
-        return EXIT_OK
-    if fam == "upper_interval":
-        if d is None:
-            return _fail("upper_interval needs --d")
-        if d in (Fraction(n, 2) - 1, Fraction(n, 2) - 3):
-            _emit_matrix(exact.upper_interval_mps(n, d), args)
-        else:
-            _emit_matrix(families.upper_interval(n, float(d)), args)
-        return EXIT_OK
-    if fam == "hadamard_core":
-        if d is None:
-            return _fail("hadamard_core needs --d")
-        h = (np.asarray(serialize.loads_matrix(_read_text(args.aux)))
-             if args.aux else designs.sylvester_hadamard(n // 2 + 1))
-        _emit_matrix(families.hadamard_core_family(n, float(d), h), args)
-        return EXIT_OK
-    if fam == "conference_core":
-        if d is None:
-            return _fail("conference_core needs --d")
-        c = (np.asarray(serialize.loads_matrix(_read_text(args.aux)))
-             if args.aux else designs.paley_conference(n // 2 + 1))
-        _emit_matrix(families.conference_core_family(n, float(d), c), args)
-        return EXIT_OK
-    if fam == "complex_core":
-        _emit_matrix(families.complex_core_matrix(n), args)
-        return EXIT_OK
-    if fam == "conference_block":
-        if d is None:
-            return _fail("conference_block needs --d")
-        c = (np.asarray(serialize.loads_matrix(_read_text(args.aux)))
-             if args.aux else designs.paley_conference(n // 2))
-        if d == 1 and not np.iscomplexobj(c):
-            _emit_matrix(exact.conference_block_mps(c), args)
-        else:
-            _emit_matrix(families.conference_block_family(n, float(d), c), args)
-        return EXIT_OK
-    if fam == "design_complex":
-        design = _default_complex_design(args, n, None if d is None else float(d))
-        if args.alpha is not None:
-            alpha = args.alpha
-        elif d is not None:
-            alpha = families.design_alpha_for_ratio(design, float(d))
-        else:
-            return _fail("design_complex needs --alpha or --d")
-        _emit_matrix(families.design_family(design, alpha), args)
-        return EXIT_OK
-    if fam == "design_real":
-        if d is None:
-            return _fail("design_real needs --d")
-        design = _aux_design(args, n, d)
-        _emit_matrix(exact.design_mps(design, n, d), args)
-        return EXIT_OK
-    return _fail(f"unknown family {fam!r}")
+    name, n, d = args.family, args.n, args.d
+    family = families.FAMILIES[name]
+    if family.ratio is not None:
+        if d is not None and d != family.ratio(n):
+            return _fail(f"{name} has d = {family.ratio(n)} at order {n}")
+        d = family.ratio(n)
+    if d is None and not (family.alpha and args.alpha is not None):
+        return _fail(f"{name} needs --d" + (" or --alpha" if family.alpha else ""))
+    aux = _load_aux(args.aux, family.aux) if args.aux and family.aux else None
+    member = family.exact(n, d, aux)
+    if member is None:
+        aux = family.provider(n, d) if aux is None else aux
+        if aux is None and family.aux:
+            return _fail(f"no built-in {family.aux} for {name} here; pass --aux FILE")
+        member = family.float(n, d, aux, args.alpha)
+    order = member.n if isinstance(member, exact.IntegerMps) else member.shape[0]
+    if order != n:
+        return _fail(f"the {name} member has order {order}, not {n}")
+    _emit_matrix(member, args)
+    return EXIT_OK
 
 
 def _profile_obj(profile: core.MpsProfile) -> dict:
@@ -286,7 +229,7 @@ def _require_exact(loaded) -> exact.IntegerMps:
 
 def _cmd_canon(args) -> int:
     m = _require_exact(_load_matrix(args.file))
-    cf = search.canonical_form(m, max_order=args.max_order)
+    cf = search.canonical_form(m)
     _emit_matrix(cf, args)
     return EXIT_OK
 
@@ -294,7 +237,7 @@ def _cmd_canon(args) -> int:
 def _cmd_equiv(args) -> int:
     m1 = _require_exact(_load_matrix(args.file1))
     m2 = _require_exact(_load_matrix(args.file2))
-    witness = search.are_equivalent(m1, m2, max_order=args.max_order)
+    witness = search.are_equivalent(m1, m2)
     if witness is None:
         _write_text(json.dumps({"equivalent": False}), args.out)
         return EXIT_NEGATIVE
@@ -410,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=families.FAMILY_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=_parse_ratio, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--aux", default=None, help="auxiliary matrix/design file")
     _add_common(p)
     p.set_defaults(func=_cmd_construct)
@@ -442,14 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical form of a real-exact matrix")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--max-order", type=int, default=search.DEFAULT_CANONICAL_MAX_ORDER)
     _add_common(p)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("equiv", help="equivalence witness between two matrices")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-order", type=int, default=search.DEFAULT_CANONICAL_MAX_ORDER)
     _add_common(p)
     p.set_defaults(func=_cmd_equiv)
 

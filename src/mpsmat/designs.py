@@ -35,6 +35,8 @@ __all__ = [
     "design_params_for",
     "hadamard_to_design",
     "identity_design",
+    "provider_design",
+    "provider_conference",
 ]
 
 
@@ -348,13 +350,40 @@ def hadamard_to_design(hadamard) -> SymmetricDesign:
     The matrix is normalized to the bordered form and the design incidence is
     A = (J + K)/2 with K the core.  Degenerate for N = 4 (lam = 0).
     """
+    if np.iscomplexobj(hadamard) or not verify_hadamard(hadamard):
+        raise ValueError("input is not a real Hadamard matrix")
     h = _as_int_matrix(hadamard)
     n = h.shape[0]
     if n < 4 or n % 4:
         raise BadOrderError(f"Hadamard order {n} is not a multiple of 4 (>= 4)")
-    if not verify_hadamard(h):
-        raise ValueError("input is not a real Hadamard matrix")
     _, core = normalize_to_standard(h)
     v = n - 1
     a = (np.ones((v, v), dtype=np.int64) + core) // 2
     return SymmetricDesign(v=v, k=n // 2 - 1, lam=n // 4 - 1, incidence=a)
+
+
+def provider_design(v: int, k: int, lam: int) -> Optional[SymmetricDesign]:
+    """Built-in design providers for the requested parameters, if any.
+
+    Covers the degenerate (v, 1, 0) identity designs and the Hadamard-derived
+    (N-1, N/2-1, N/4-1) designs for Sylvester orders N = 2^t.
+    """
+    if k == 1 and lam == 0:
+        return identity_design(v)
+    n_had = v + 1
+    if (
+        k == n_had // 2 - 1
+        and lam == n_had // 4 - 1
+        and n_had >= 4
+        and n_had & (n_had - 1) == 0
+    ):
+        return hadamard_to_design(sylvester_hadamard(n_had))
+    return None
+
+
+def provider_conference(order: int) -> Optional[np.ndarray]:
+    """Built-in symmetric conference matrix of the given order, if any."""
+    try:
+        return paley_conference(order)
+    except BadOrderError:
+        return None

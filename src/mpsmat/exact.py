@@ -98,7 +98,10 @@ class IntegerMps:
 
     def __post_init__(self):
         d = _as_fraction(self.d)
-        q = np.asarray(self.two_q, dtype=np.int64)
+        try:
+            q = np.asarray(self.two_q, dtype=np.int64)
+        except OverflowError as exc:
+            raise NotInRangeError("2Q has entries beyond the int64 range") from exc
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("2Q must be square")
         object.__setattr__(self, "d", d)
@@ -163,6 +166,8 @@ def validate(m: IntegerMps) -> None:
     if two_d.denominator != 1:
         raise ValueError("2d must be an integer (denominator of d divides 2)")
     two_d = int(two_d)
+    if two_d * two_d + 4 * (n - 1) > np.iinfo(np.int64).max:
+        raise NotInRangeError("4d^2 + 4n - 4 exceeds the int64 range of the exact checks")
     if not np.array_equal(q, q.T):
         raise ValueError("2Q must be symmetric")
     if not np.all(np.abs(np.diagonal(q)) == two_d):
@@ -572,8 +577,7 @@ def two_by_two_mps(d) -> IntegerMps:
     if two_d.denominator != 1:
         raise ValueError("exact 2x2 members need 2d integral")
     td = int(two_d)
-    q = np.array([[td, 2], [2, -td]], dtype=np.int64)
-    return IntegerMps(d=d, two_q=q)
+    return IntegerMps(d=d, two_q=[[td, 2], [2, -td]])
 
 
 def upper_interval_mps(n: int, d) -> IntegerMps:

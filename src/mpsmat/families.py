@@ -14,16 +14,20 @@ accepted closed: the formulas remain valid there and reproduce the canonical
 members of neighbouring families.
 
 Auxiliary Hadamard/conference matrices and designs are injected as arguments;
-the designs module supplies standard providers.
+the designs module supplies standard providers.  ``FAMILIES`` is the one
+registry of the CLI families: it pairs each float builder with its exact
+builder and its built-in provider, for ``construct`` and the classifier.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import exact
+from . import designs, exact
 from .core import DEFAULT_TOL, as_square_matrix
 from .designs import (
     SymmetricDesign,
@@ -38,6 +42,8 @@ __all__ = [
     "NotHadamardError",
     "NotConferenceError",
     "NoRealRootError",
+    "Family",
+    "FAMILIES",
     "FAMILY_NAMES",
     "full_j_matrix",
     "n2_matrix",
@@ -67,20 +73,6 @@ class NotConferenceError(ValueError):
 
 class NoRealRootError(ValueError):
     """No phase angle in [-1, 1] solves the family's cosine equation."""
-
-
-#: Family names used by the file/CLI interfaces.
-FAMILY_NAMES = (
-    "full_j",
-    "n2",
-    "upper_interval",
-    "hadamard_core",
-    "conference_core",
-    "complex_core",
-    "conference_block",
-    "design_complex",
-    "design_real",
-)
 
 
 def _block_matrix(n: int, d: float, off_block: np.ndarray) -> np.ndarray:
@@ -284,3 +276,97 @@ def real_from_design(n: int, d, design: SymmetricDesign) -> np.ndarray:
     Q Q^T = (d^2 + n - 1) I is validated on construction.
     """
     return exact.design_mps(design, n, d).matrix()
+
+
+class Family(NamedTuple):
+    """One construction family, as ``construct`` and the classifier use it.
+
+    ``float(n, d, aux, alpha)`` builds a member from the auxiliary input of
+    kind ``aux`` ("matrix" or "design"), which ``provider(n, d)`` supplies
+    where it can (elsewhere it returns None or raises).  ``exact(n, d,
+    aux=None)`` builds the real member at the family's real points, asking
+    the provider only there, and returns None elsewhere.  ``ratio(n)`` is the
+    d of a fixed-ratio family; ``alpha`` marks the family whose phase angle
+    may stand in for d.  Builders are looked up when called.
+    """
+
+    float: Callable
+    exact: Callable = lambda n, d, aux=None: None
+    aux: Optional[str] = None
+    provider: Callable = lambda n, d: None
+    ratio: Optional[Callable] = None
+    alpha: bool = False
+
+
+def _conference_block_exact(n, d, conference=None):
+    if d != 1:
+        return None
+    c = designs.provider_conference(n // 2) if conference is None else conference
+    return None if c is None or np.iscomplexobj(c) else exact.conference_block_mps(c)
+
+
+def _real_design(n, d):
+    """The built-in design behind the real member at (n, d), if any."""
+    params = designs.design_params_for(n, int(d)) if d.denominator == 1 else None
+    return None if params is None else designs.provider_design(n // 2, params.k, params.lam)
+
+
+def _design_exact(n, d, design=None):
+    design = _real_design(n, d) if design is None else design
+    return None if design is None else exact.design_mps(design, n, d)
+
+
+def _covering_design(n, d):
+    """The Sylvester design of order n/2, else the identity design: the first
+    whose ratio interval covers d (any d when None)."""
+    def candidates():
+        n_had = n // 2 + 1
+        if n_had >= 4 and n_had & (n_had - 1) == 0:
+            yield designs.hadamard_to_design(designs.sylvester_hadamard(n_had))
+        yield designs.identity_design(n // 2)
+
+    for design in candidates():
+        floor = n / 2 - 1 - 2 * (design.k - design.lam)
+        if d is None or floor - 1e-12 <= float(d) <= n / 2 - 1 + 1e-12:
+            return design
+    return None
+
+
+#: The CLI families, in the order the classifier tries their real members.
+FAMILIES: dict[str, Family] = {
+    "full_j": Family(
+        lambda n, d, aux, alpha: full_j_matrix(n),
+        lambda n, d, aux=None: exact.full_j_mps(n) if d == Fraction(n, 2) - 1 else None,
+        ratio=lambda n: Fraction(n, 2) - 1),
+    "n2": Family(
+        lambda n, d, aux, alpha: n2_matrix(float(d)),
+        lambda n, d, aux=None: (exact.two_by_two_mps(d)
+                                if n == 2 and (2 * d).denominator == 1 else None)),
+    "upper_interval": Family(
+        lambda n, d, aux, alpha: upper_interval(n, float(d)),
+        lambda n, d, aux=None: (exact.upper_interval_mps(n, d)
+                                if d in (Fraction(n, 2) - 1, Fraction(n, 2) - 3) else None)),
+    "hadamard_core": Family(
+        lambda n, d, h, alpha: hadamard_core_family(n, float(d), h),
+        aux="matrix", provider=lambda n, d: designs.sylvester_hadamard(n // 2 + 1)),
+    "conference_core": Family(
+        lambda n, d, c, alpha: conference_core_family(n, float(d), c),
+        aux="matrix", provider=lambda n, d: designs.paley_conference(n // 2 + 1)),
+    "complex_core": Family(
+        lambda n, d, aux, alpha: complex_core_matrix(n),
+        ratio=lambda n: Fraction(n, 4) - Fraction(3, 2)),
+    "conference_block": Family(
+        lambda n, d, c, alpha: conference_block_family(n, float(d), c),
+        _conference_block_exact,
+        aux="matrix", provider=lambda n, d: designs.provider_conference(n // 2)),
+    "design_complex": Family(
+        lambda n, d, design, alpha: design_family(
+            design, design_alpha_for_ratio(design, float(d)) if alpha is None else alpha),
+        aux="design", provider=_covering_design, alpha=True),
+    "design_real": Family(
+        lambda n, d, design, alpha: exact.design_mps(design, n, d),
+        _design_exact, aux="design", provider=_real_design),
+}
+
+#: Family names used by the file/CLI interfaces.
+FAMILY_NAMES = tuple(FAMILIES)

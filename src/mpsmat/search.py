@@ -51,11 +51,12 @@ __all__ = [
     "canonical_transform",
     "are_equivalent",
     "DEFAULT_SEARCH_MAX_ORDER",
-    "DEFAULT_CANONICAL_MAX_ORDER",
 ]
 
 DEFAULT_SEARCH_MAX_ORDER = 8
-DEFAULT_CANONICAL_MAX_ORDER = 8
+
+#: Largest 2d the int8 hit stacks hold.
+_MAX_TWO_D = np.iinfo(np.int8).max
 
 #: Cap on the number of rows held in one vectorized search block.
 _BLOCK_ROWS = 1 << 16
@@ -65,7 +66,16 @@ _CHECK_CHUNK = 4096
 
 
 class TooLargeError(ValueError):
-    """Order exceeds the configured exact-enumeration maximum."""
+    """Order or ratio exceeds what the exact enumeration supports."""
+
+
+def _two_d(d: Fraction) -> Optional[int]:
+    """2d, or None off the half-integers; the int8 hit stacks need 2d <= 127."""
+    if (2 * d).denominator != 1:
+        return None
+    if 2 * d > _MAX_TWO_D:
+        raise TooLargeError(f"2d = {2 * d} exceeds the search maximum {_MAX_TWO_D}")
+    return int(2 * d)
 
 
 def candidate_ratios(n: int) -> list[Fraction]:
@@ -267,12 +277,11 @@ def exhaustive_search(
     d = Fraction(d)
     if d < 0:
         raise ValueError("d must be non-negative")
-    two_d_f = 2 * d
-    if two_d_f.denominator != 1:
+    two_d = _two_d(d)
+    if two_d is None:
         return SearchResult(n=n, d=d, mode=mode,
                             two_q_stack=np.empty((0, n, n), dtype=np.int8),
                             complete=True, elapsed=time.monotonic() - started)
-    two_d = int(two_d_f)
     deadline = None if budget_seconds is None else started + budget_seconds
     plans = _row_plans(n, two_d, mode)
 
@@ -295,10 +304,7 @@ def exhaustive_search(
             if deadline is not None and time.monotonic() > deadline:
                 complete = False
                 break
-            cf, _ = canonical_transform(
-                IntegerMps(d=d, two_q=q.astype(np.int64)),
-                max_order=max(max_order, DEFAULT_CANONICAL_MAX_ORDER),
-            )
+            cf, _ = canonical_transform(IntegerMps(d=d, two_q=q.astype(np.int64)))
             reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
         stack = _sorted_stack(n, [q[None, :, :] for q in reps.values()])
     else:
@@ -317,11 +323,9 @@ def naive_search(n: int, d, max_order: int = 6) -> list[IntegerMps]:
     """
     if n < 2 or n > max_order:
         raise TooLargeError(f"naive enumeration supports 2 <= n <= {max_order}")
-    d = Fraction(d)
-    two_d_f = 2 * d
-    if two_d_f.denominator != 1:
+    two_d = _two_d(Fraction(d))
+    if two_d is None:
         return []
-    two_d = int(two_d_f)
     iu, ju = np.triu_indices(n, k=1)
     n_off = len(iu)
     target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int32)
@@ -440,9 +444,7 @@ def _in_orbit(codes: list[list[int]], w: int, kept: list[int],
     return not orbit.isdisjoint(kept)
 
 
-def canonical_transform(
-    m: IntegerMps, max_order: int = DEFAULT_CANONICAL_MAX_ORDER
-) -> tuple[IntegerMps, Transform]:
+def canonical_transform(m: IntegerMps) -> tuple[IntegerMps, Transform]:
     """Canonical form plus a group element realizing it.
 
     Minimizes the row-major encoding over global sign, leading row choice and
@@ -455,8 +457,6 @@ def canonical_transform(
     forms are identical.
     """
     n = m.n
-    if n > max_order:
-        raise TooLargeError(f"order {n} exceeds the canonical-form maximum {max_order}")
     q = m.two_q
     two_d = m.two_d
     diag = np.diagonal(q)
@@ -492,15 +492,13 @@ def canonical_transform(
     return t.apply_mps(m), t
 
 
-def canonical_form(m: IntegerMps, max_order: int = DEFAULT_CANONICAL_MAX_ORDER) -> IntegerMps:
+def canonical_form(m: IntegerMps) -> IntegerMps:
     """Lexicographically minimal equivalent matrix (see canonical_transform)."""
-    cf, _ = canonical_transform(m, max_order=max_order)
+    cf, _ = canonical_transform(m)
     return cf
 
 
-def are_equivalent(
-    m1: IntegerMps, m2: IntegerMps, max_order: int = DEFAULT_CANONICAL_MAX_ORDER
-) -> Optional[Transform]:
+def are_equivalent(m1: IntegerMps, m2: IntegerMps) -> Optional[Transform]:
     """Equivalence witness mapping m1 to m2 exactly, or None.
 
     Requires matching (n, d); decided by canonical-form comparison with the
@@ -508,8 +506,8 @@ def are_equivalent(
     """
     if m1.n != m2.n or m1.d != m2.d:
         raise ValueError("matrices must share the same (n, d)")
-    c1, t1 = canonical_transform(m1, max_order=max_order)
-    c2, t2 = canonical_transform(m2, max_order=max_order)
+    c1, t1 = canonical_transform(m1)
+    c2, t2 = canonical_transform(m2)
     if c1 != c2:
         return None
     witness = t2.inverse().compose(t1)

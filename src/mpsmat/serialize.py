@@ -123,23 +123,15 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
     fracs = [[_parse_frac(x) for x in row] for row in rows]
     if len(fracs) != n or any(len(r) != n for r in fracs):
         raise FormatError(f"q_entries must be {n} x {n}")
-    if "d" in obj:
-        d = _parse_frac(obj["d"])
-        two_q = np.empty((n, n), dtype=np.int64)
-        for i, row in enumerate(fracs):
-            for j, f in enumerate(row):
-                doubled = 2 * f
-                if doubled.denominator != 1:
-                    raise FormatError("exact entries must have denominator 1 or 2")
-                two_q[i, j] = int(doubled)
-        return IntegerMps(d=d, two_q=two_q)
-    out = np.empty((n, n), dtype=np.int64)
-    for i, row in enumerate(fracs):
-        for j, f in enumerate(row):
-            if f.denominator != 1:
-                raise FormatError("plain exact matrices must have integer entries")
-            out[i, j] = int(f)
-    return out
+    scale = 2 if "d" in obj else 1
+    if any((scale * f).denominator != 1 for row in fracs for f in row):
+        raise FormatError("exact entries must have denominator 1 or 2" if scale == 2
+                          else "plain exact matrices must have integer entries")
+    try:
+        out = np.array([[int(scale * f) for f in row] for row in fracs], dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError("exact entries must fit in 64-bit integers") from exc
+    return IntegerMps(d=_parse_frac(obj["d"]), two_q=out) if scale == 2 else out
 
 
 def dumps_matrix(matrix: MatrixLike, indent: int | None = None) -> str:

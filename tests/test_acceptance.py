@@ -206,24 +206,35 @@ def test_criterion_2_parametrization_round_trips():
     _teststamp(2, f"600 round-trips (block, general, quadratic) in {elapsed:.2f}s")
 
 
-def test_criterion_3_small_order_classification():
+@pytest.fixture(scope="module")
+def all_mode_search():
+    """exhaustive_search(n, d, "all") on the candidate grid of n = 3..8, shared
+    by criteria 3 and 6, and the seconds it took."""
+    started = time.monotonic()
+    results = {(n, d): exhaustive_search(n, d, mode="all")
+               for n in range(3, 9) for d in candidate_ratios(n)}
+    return results, time.monotonic() - started
+
+
+def test_criterion_3_small_order_classification(all_mode_search):
+    results, search_s = all_mode_search
     started = time.monotonic()
     for n in range(3, 9):
         nonempty = set()
         for d in candidate_ratios(n):
-            res = exhaustive_search(n, d, mode="all")
+            res = results[n, d]
             assert res.complete
             if res.count:
                 nonempty.add(d)
         assert nonempty == EXPECTED_RATIOS[n], n
     for n in (3, 4, 5):
         for d in candidate_ratios(n):
-            res = exhaustive_search(n, d, mode="all")
+            res = results[n, d]
             oracle = naive_search(n, d)
             want = (np.stack([m.two_q for m in oracle]).astype(np.int8)
                     if oracle else np.empty((0, n, n), dtype=np.int8))
             assert np.array_equal(res.two_q_stack, want), (n, d)
-    elapsed = time.monotonic() - started
+    elapsed = search_s + time.monotonic() - started
     assert elapsed < 600.0
     _teststamp(3, f"orders 3..8 classified over the full candidate grid, "
                   f"n<=5 bit-identical to the naive oracle, in {elapsed:.2f}s")
@@ -344,7 +355,8 @@ def _batch_structure_identities(stack: np.ndarray, two_d: int) -> None:
     assert np.all(ggt == target[None]), "Gram identity fails"
 
 
-def test_criterion_6_structure_identities():
+def test_criterion_6_structure_identities(all_mode_search):
+    results, _ = all_mode_search
     started = time.monotonic()
     total = 0
     for n in range(3, 9):
@@ -353,7 +365,7 @@ def test_criterion_6_structure_identities():
                 continue
             if (2 * d).denominator != 1:
                 continue
-            res = exhaustive_search(n, d, mode="all")
+            res = results[n, d]
             if res.count == 0:
                 continue
             _batch_structure_identities(res.two_q_stack, int(2 * d))

@@ -48,6 +48,31 @@ class TestConstructVerify:
                         "trace_identity"):
                 assert report[key], (family, key)
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "n2", "--n", "9", "--d", "1"],
+        ["--family", "full_j", "--n", "5", "--d", "7"],
+        ["--family", "complex_core", "--n", "8", "--d", "3"],
+        ["--family", "design_complex", "--n", "10", "--d", "1/2", "--aux", "{design}"],
+        ["--family", "design_complex", "--n", "10", "--alpha", "0.3", "--aux", "{design}"],
+    ])
+    def test_member_of_another_order_or_ratio_fails(self, capsys, tmp_path, argv):
+        # A (2, 1, 0)-design builds a member of order 4, not 10.
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps({"v": 2, "k": 1, "lambda": 0,
+                                      "incidence": [[1, 0], [0, 1]]}))
+        argv = [str(design) if a == "{design}" else a for a in argv]
+        code, out = run(capsys, "construct", *argv)
+        assert code == 1 and out == ""
+
+    def test_nan_alpha_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--family", "design_complex", "--n", "6", "--alpha", "nan"])
+        assert exc.value.code == 64
+
+    def test_ratio_too_large_for_int64_fails(self, capsys):
+        code, out = run(capsys, "construct", "--family", "n2", "--n", "2", "--d", "1e30")
+        assert code == 1 and out == ""
+
     def test_verify_fails_on_non_unitary(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -107,6 +132,9 @@ class TestSearch:
         code = main(["search", "--n", "9"])
         assert code == 2
 
+    def test_ratio_beyond_the_int8_stack_exit(self, capsys):
+        assert main(["search", "--n", "4", "--d", "40000"]) == 2
+
     def test_count_only_omits_matrices(self, capsys):
         code, obj = run_json(capsys, "search", "--n", "5", "--count-only")
         assert code == 0
@@ -125,6 +153,12 @@ class TestCanonEquiv:
         c2_path = tmp_path / "c2.json"
         assert main(["canon", str(c_path), "--out", str(c2_path)]) == 0
         assert json.loads(c_path.read_text()) == json.loads(c2_path.read_text())
+
+    def test_canon_has_no_order_cap(self, capsys, tmp_path):
+        m_path = tmp_path / "m.json"
+        main(["construct", "--family", "full_j", "--n", "9", "--out", str(m_path)])
+        code, obj = run_json(capsys, "canon", str(m_path))
+        assert code == 0 and obj["n"] == 9 and obj["d"] == "7/2"
 
     def test_equiv_negative(self, capsys, tmp_path):
         a = tmp_path / "a.json"
@@ -233,6 +267,12 @@ class TestBridgeExtractScatter:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan", "1e400", "1/0"])
+    def test_unusable_ratio_exit_64(self, ratio):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "4", "--d", ratio])
+        assert exc.value.code == 64
+
     def test_unknown_flag_exit_64(self):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--n", "6", "--d", "1", "--bogus"])
@@ -260,6 +300,8 @@ _BAD_CELL_DOCS = [
     (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": [[None]], "P": [1, 2]}),
     (["verify"], {"n": 1, "kind": "real-exact", "q_entries": 5}),
     (["verify"], {"n": 1, "kind": "real-exact", "q_entries": [["1", "1"], 3]}),
+    (["verify"], {"n": 2, "kind": "real-exact", "d": "1e30",
+                  "q_entries": [["1e30", "1"], ["1", "-1e30"]]}),
 ]
 
 

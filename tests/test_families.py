@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mpsmat import designs, exact
 from mpsmat.core import (
     check_trace_identity,
     is_hermitian,
@@ -16,6 +18,8 @@ from mpsmat.designs import (
     sylvester_hadamard,
 )
 from mpsmat.families import (
+    FAMILIES,
+    FAMILY_NAMES,
     NotConferenceError,
     NotHadamardError,
     OutOfRangeError,
@@ -277,3 +281,36 @@ class TestRealFromDesign:
 
         with pytest.raises(ParameterMismatchError):
             real_from_design(14, 4, hadamard_to_design(sylvester_hadamard(8)))
+
+
+class TestRegistry:
+    def test_names_are_the_registry(self):
+        assert FAMILY_NAMES == tuple(FAMILIES)
+        assert len(FAMILIES) == 9
+
+    def test_exact_builders_only_at_real_points(self):
+        assert FAMILIES["full_j"].exact(6, Fraction(2)) == exact.full_j_mps(6)
+        assert FAMILIES["full_j"].exact(6, Fraction(1)) is None
+        assert FAMILIES["n2"].exact(2, Fraction(3, 2)) == exact.two_by_two_mps(Fraction(3, 2))
+        assert FAMILIES["n2"].exact(2, Fraction(1, 3)) is None
+        assert FAMILIES["n2"].exact(9, Fraction(1)) is None
+        assert FAMILIES["upper_interval"].exact(8, Fraction(1)) == (
+            exact.upper_interval_mps(8, 1))
+        assert FAMILIES["upper_interval"].exact(8, Fraction(2)) is None
+        assert FAMILIES["conference_block"].exact(12, Fraction(1)) == (
+            exact.conference_block_mps(paley_conference(6)))
+        assert FAMILIES["conference_block"].exact(8, Fraction(1)) is None   # no Paley order 4
+        fano = hadamard_to_design(sylvester_hadamard(8))
+        assert FAMILIES["design_real"].exact(14, Fraction(2)) == exact.design_mps(fano, 14, 2)
+        assert FAMILIES["design_real"].exact(22, Fraction(4)) is None       # no provider
+        for name in ("hadamard_core", "conference_core", "complex_core", "design_complex"):
+            assert FAMILIES[name].exact(14, Fraction(3)) is None
+
+    def test_providers_run_only_at_real_points(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(designs, "provider_conference",
+                            lambda order: calls.append(order))
+        assert FAMILIES["conference_block"].exact(12, Fraction(1, 2)) is None
+        assert calls == []
+        FAMILIES["conference_block"].exact(12, Fraction(1))
+        assert calls == [6]

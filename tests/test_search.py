@@ -115,6 +115,19 @@ class TestExhaustiveSearch:
         with pytest.raises(TooLargeError):
             exhaustive_search(9, 1)
 
+    def test_largest_ratio_the_int8_stack_holds(self):
+        # 2d = 126: [[d, 1], [1, -d]] up to the four sign choices.
+        res = exhaustive_search(2, 63)
+        assert res.complete and res.count == 4
+        assert res.matrices()[0] == IntegerMps(d=63, two_q=np.array([[126, 2], [2, -126]]))
+
+    @pytest.mark.parametrize("d", [64, 100, Fraction(255, 2)])
+    def test_ratio_beyond_the_int8_stack_is_too_large(self, d):
+        with pytest.raises(TooLargeError):
+            exhaustive_search(2, d)
+        with pytest.raises(TooLargeError):
+            naive_search(2, d)
+
     def test_up_to_equivalence_two_classes_at_six_two(self):
         res = exhaustive_search(6, 2, mode="up_to_equivalence")
         assert res.complete
@@ -232,9 +245,15 @@ class TestCanonicalForm:
         w = are_equivalent(m, neg)
         assert w is not None and w.apply_mps(m) == neg
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            canonical_form(full_j_mps(9))
+    def test_no_order_cap(self):
+        # Order 40, scrambled: the refinement search has no order maximum.
+        rng = np.random.default_rng(40)
+        m = full_j_mps(40)
+        t = Transform(perm=tuple(int(x) for x in rng.permutation(40)),
+                      signs=tuple(int(x) for x in rng.choice([-1, 1], 40)),
+                      global_sign=-1)
+        cf, back = canonical_transform(t.apply_mps(m))
+        assert cf == canonical_form(m) and back.apply_mps(t.apply_mps(m)) == cf
 
 
 def _scan_transform(m):
@@ -265,8 +284,8 @@ def _scan_transform(m):
     return t.apply_mps(m), t
 
 
-def _assert_matches_scan(m, max_order=8):
-    form, t = canonical_transform(m, max_order=max_order)
+def _assert_matches_scan(m):
+    form, t = canonical_transform(m)
     want_form, want_t = _scan_transform(m)
     assert t == want_t
     assert form == want_form
@@ -315,7 +334,7 @@ class TestCanonicalOracle:
                 _assert_matches_scan(t.apply_mps(rep))
 
     def test_full_j_order_nine(self):
-        _assert_matches_scan(full_j_mps(9), max_order=9)
+        _assert_matches_scan(full_j_mps(9))
 
     def test_order_nine_and_ten_classes(self):
         # Representatives checked against the scan once; the scan costs
