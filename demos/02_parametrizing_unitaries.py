@@ -1,9 +1,11 @@
 """Free parameters for Hermitian unitary and general unitary matrices.
 
 Every Hermitian unitary matrix besides +-I is determined by the multiplicity
-m of its +1 eigenvalue, an unconstrained complex m x (n-m) block T, and (only
-when the leading block of S + I is singular) a permutation.  Nothing about
-(m, T, P) needs tuning: every choice produces a Hermitian unitary matrix.
+m of its +1 eigenvalue, an unconstrained complex m x (n-m) block T, and a
+permutation P.  The decomposer picks P so that the m rows of S + I it solves
+with are well conditioned (greedy pivoted Cholesky, ties to the lowest
+index).  Nothing about (m, T, P) needs tuning: every choice produces a
+Hermitian unitary matrix.
 """
 
 import numpy as np

@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 #: Default absolute tolerance for entrywise tests; unitarity uses a Frobenius
-#: norm scaled by the order.  All quantities handled here are O(1) and well
-#: conditioned at desk scale, so a single absolute threshold suffices.
+#: norm scaled by the order.  The entries handled here are O(1), but a
+#: quantity computed through an inverse is not: ``parametrize.decompose_unitary``
+#: scales its consistency check by ||M^{-1}||_2^2 for the block M it solves.
 DEFAULT_TOL = 1e-9
 
 #: Sentinel results of :func:`d_from_mp`.

@@ -168,44 +168,41 @@ def eigenbasis_from_param(param: HermitianUnitaryParam) -> tuple[np.ndarray, np.
     return plus[p, :], minus[p, :]
 
 
-def _pivot_order_psd(h: np.ndarray, tol: float) -> tuple[list[int], int]:
-    """Greedy diagonal-pivoted elimination on a Hermitian PSD matrix.
+def _pivot_rows(gram: np.ndarray, m: int) -> list[int]:
+    """Rows of the m x m block: m steps of greedy diagonal-pivoted Cholesky.
 
-    Returns (pivot order, detected rank): classic pivoted Cholesky with
-    absolute pivot threshold.
+    ``gram`` is Hermitian positive semidefinite.  Each step takes the row with
+    the largest diagonal entry of the remaining Schur complement, the lowest
+    index among entries that agree to rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 10).  The rows not
+    chosen follow in ascending order.
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    order: list[int] = []
-    remaining = list(range(n))
-    rank = 0
-    for _ in range(n):
-        diags = [(a[i, i].real, i) for i in remaining]
-        best_val, best = max(diags, key=lambda x: (x[0], -x[1]))
-        order.append(best)
-        remaining.remove(best)
-        if best_val > tol:
-            rank += 1
-            col = a[:, best] / a[best, best]
-            a = a - np.outer(col, a[best, :])
-            a[:, best] = 0.0
-            a[best, :] = 0.0
-    return order, rank
+    n = gram.shape[0]
+    factor = np.zeros((n, m), dtype=complex)
+    diag = gram.diagonal().real.copy()
+    slack = n * np.finfo(float).eps * diag.max()
+    rows: list[int] = []
+    for k in range(m):
+        j = int(np.argmax(diag >= diag.max() - slack))
+        rows.append(j)
+        col = (gram[:, j] - factor[:, :k] @ factor[j, :k].conj()) / np.sqrt(diag[j])
+        factor[:, k] = col
+        diag -= col.real ** 2 + col.imag ** 2
+        diag[j] = -np.inf
+    return rows + [i for i in range(n) if i not in rows]
 
 
-def _leading_block_regular(a: np.ndarray, m: int, tol: float) -> bool:
-    """Partial-pivot elimination test: min |pivot| of the leading m x m block."""
-    if m == 0:
-        return False
-    block = np.array(a[:m, :m], dtype=complex)
-    for j in range(m):
-        k = j + int(np.argmax(np.abs(block[j:, j])))
-        if abs(block[k, j]) <= tol:
-            return False
-        if k != j:
-            block[[j, k]] = block[[k, j]]
-        block[j + 1:] -= np.outer(block[j + 1:, j] / block[j, j], block[j])
-    return True
+def _split(a: np.ndarray, rows: list[int], m: int):
+    """Block split of a = S + I (or U + I) with ``rows`` first.
+
+    Returns the leading m x m block M, T = M^{-1} B for the block B beside
+    it, and the 0-based perm that puts the rows back.
+    """
+    aq = a[np.ix_(rows, rows)]
+    mblock = aq[:m, :m]
+    t = np.linalg.solve(mblock, aq[:m, m:])
+    perm = tuple(int(x) for x in np.argsort(rows))
+    return mblock, t, perm
 
 
 def decompose_hermitian_unitary(
@@ -213,10 +210,13 @@ def decompose_hermitian_unitary(
 ) -> HermitianUnitaryParam:
     """Recover (m, T, P) from a Hermitian unitary matrix different from +-I.
 
-    m comes from the trace (the spectrum is {-1, +1}); P is the identity
-    whenever the leading m x m block of S + I is regular, otherwise a greedy
-    diagonal-pivot order on the positive semidefinite S + I.  The contract is
-    matrix-level: build_hermitian_unitary(result) reproduces the input.
+    m comes from the trace (the spectrum is {-1, +1}).  P puts first the m
+    rows that greedy diagonal-pivoted Cholesky picks on S + I, then the
+    others in ascending order.  Since (S + I)^2 = 2(S + I), these are the
+    rows it picks on the Gram matrix of the rows of S + I, so the solved
+    block is well conditioned however ill-conditioned the leading one is.
+    Ties go to the lowest index.  The contract is matrix-level:
+    build_hermitian_unitary(result) reproduces the input.
     """
     s = as_square_matrix(matrix).astype(complex)
     n = s.shape[0]
@@ -226,17 +226,8 @@ def decompose_hermitian_unitary(
     if np.max(np.abs(s - eye)) <= tol or np.max(np.abs(s + eye)) <= tol:
         raise TrivialMatrixError("matrix is +-I; the parametrization excludes it")
     m = int(round((n + np.trace(s).real) / 2))
-
     splus = s + eye
-    if _leading_block_regular(splus, m, tol):
-        q = list(range(n))
-    else:
-        order, _ = _pivot_order_psd(splus, tol)
-        q = order[:m] + sorted(order[m:])
-    sq = splus[np.ix_(q, q)]
-    mblock = sq[:m, :m]
-    t = np.linalg.solve(mblock, sq[:m, m:])
-    perm = tuple(int(x) for x in np.argsort(q))
+    _, t, perm = _split(splus, _pivot_rows(splus, m), m)
     return HermitianUnitaryParam(n=n, m=m, t=t, perm=perm)
 
 
@@ -260,37 +251,19 @@ def build_unitary(param: UnitaryParam) -> np.ndarray:
     return -np.eye(n, dtype=complex) + 2.0 * core[np.ix_(p, p)]
 
 
-def _rank_pivoted(a: np.ndarray, tol: float) -> int:
-    """Rank by complete-pivot elimination: pivots above the absolute threshold."""
-    b = np.array(a, dtype=complex)
-    n = b.shape[0]
-    row_active = np.ones(n, dtype=bool)
-    col_active = np.ones(n, dtype=bool)
-    rank = 0
-    for _ in range(n):
-        rows = np.flatnonzero(row_active)
-        cols = np.flatnonzero(col_active)
-        sub = np.abs(b[np.ix_(rows, cols)])
-        if sub.size == 0 or sub.max() <= tol:
-            break
-        i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        i, j = rows[i_loc], cols[j_loc]
-        rank += 1
-        others = rows[rows != i]
-        if others.size:
-            b[np.ix_(others, cols)] -= np.outer(b[others, j] / b[i, j], b[i, cols])
-        row_active[i] = False
-        col_active[j] = False
-    return rank
-
-
 def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     """Recover (m, T, S_h, P) from a unitary matrix different from -I.
 
-    m = rank(U + I) via pivoted elimination (eigenvalues of a general unitary
-    are not restricted to +-1, so the trace is not usable).  S_h is extracted
-    from 2 M^{-1} - I - T T* as its anti-Hermitian part divided by i; the
-    Hermitian residual must vanish within tolerance and is asserted.
+    m is the number of singular values of U + I above ``tol`` (the trace is
+    not usable: the eigenvalues are not restricted to +-1).  P is the
+    identity when m = n.  Otherwise it puts first the m rows that greedy
+    diagonal-pivoted Cholesky picks on the projector onto the m leading left
+    singular vectors of U + I, then the others in ascending order; pivoting
+    on (U + I)(U + I)* instead would square a singular value of 1e-8 below
+    rounding.  S_h is the anti-Hermitian part of 2 M^{-1} - I - T T*,
+    divided by i.  Its Hermitian part vanishes for an exact unitary, and the
+    unitarity defect that ``is_unitary`` accepts (tol * n) grows by at most
+    ||M^{-1}||_2^2 through the inverse, so a larger Hermitian part raises.
     """
     u = as_square_matrix(matrix).astype(complex)
     n = u.shape[0]
@@ -300,36 +273,19 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     if np.max(np.abs(u + eye)) <= tol:
         raise TrivialMatrixError("matrix is -I; the parametrization excludes it")
     uplus = u + eye
-    m = _rank_pivoted(uplus, tol)
-
-    if m == n:
-        minv = np.linalg.inv(uplus)
-        r = 2.0 * minv - np.eye(n)
-        herm_resid = (r + r.conj().T) / 2
-        if np.linalg.norm(herm_resid) > tol * n:
-            raise ValueError("inconsistent decomposition: S_h is not Hermitian")
-        s_h = (r - r.conj().T) / 2j
-        s_h = (s_h + s_h.conj().T) / 2
-        return UnitaryParam(n=n, m=n, t=None, s_h=s_h, perm=tuple(range(n)))
-
-    if _leading_block_regular(uplus, m, tol):
-        q = list(range(n))
-    else:
-        # U + I is normal, so a principal submatrix indexed by the leading
-        # pivots of (U+I)(U+I)* is regular exactly when those rows are.
-        order, _ = _pivot_order_psd(uplus @ uplus.conj().T, tol)
-        q = order[:m] + sorted(order[m:])
-    uq = uplus[np.ix_(q, q)]
-    mblock = uq[:m, :m]
-    t = np.linalg.solve(mblock, uq[:m, m:])
-    r = 2.0 * np.linalg.inv(mblock) - np.eye(m) - t @ t.conj().T
+    left, sv, _ = np.linalg.svd(uplus)
+    m = int(np.sum(sv > tol))
+    basis = left[:, :m]
+    rows = list(range(n)) if m == n else _pivot_rows(basis @ basis.conj().T, m)
+    mblock, t, perm = _split(uplus, rows, m)
+    minv = np.linalg.inv(mblock)
+    r = 2.0 * minv - np.eye(m) - t @ t.conj().T
     herm_resid = (r + r.conj().T) / 2
-    if np.linalg.norm(herm_resid) > tol * n:
+    if np.linalg.norm(herm_resid) > tol * n * np.linalg.norm(minv, 2) ** 2:
         raise ValueError("inconsistent decomposition: S_h is not Hermitian")
     s_h = (r - r.conj().T) / 2j
     s_h = (s_h + s_h.conj().T) / 2
-    perm = tuple(int(x) for x in np.argsort(q))
-    return UnitaryParam(n=n, m=m, t=t, s_h=s_h, perm=perm)
+    return UnitaryParam(n=n, m=m, t=None if m == n else t, s_h=s_h, perm=perm)
 
 
 def build_quadratic_solution(spec: QuadraticSpec, param: HermitianUnitaryParam) -> np.ndarray:

@@ -16,6 +16,9 @@ Parameter JSON: {"n": N, "m": M, "T": [[[re, im], ...]] or null,
 marks a Hermitian-unitary parameter set.
 
 Design JSON: {"v": V, "k": K, "lambda": L, "incidence": [[0/1, ...], ...]}.
+
+Integer fields (n, m, the images in P, v, k, lambda and incidence cells)
+must be JSON integers: booleans, floats and strings are malformed.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ class FormatError(ValueError):
 
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; booleans, floats and strings fail."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_frac(s) -> Fraction:
@@ -100,8 +110,8 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
     kind = obj.get("kind")
     if kind not in ("complex", "real-exact"):
         raise FormatError(f"unknown matrix kind {kind!r}")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    n = _json_int(obj.get("n"), "n")
+    if n < 1:
         raise FormatError("field n must be a positive integer")
     if kind == "complex":
         if "q_entries" in obj or "d" in obj:
@@ -216,10 +226,10 @@ def param_from_obj(obj: dict) -> HermitianUnitaryParam | UnitaryParam:
     if not isinstance(obj, dict):
         raise FormatError("parameter document must be a JSON object")
     try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        perm = tuple(int(x) - 1 for x in obj["P"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _json_int(obj["n"], "n")
+        m = _json_int(obj["m"], "m")
+        perm = tuple(_json_int(x, "P entry") - 1 for x in obj["P"])
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad parameter document: {exc}") from exc
     t_obj = obj.get("T")
     s_obj = obj.get("S_h")
@@ -246,12 +256,13 @@ def design_from_obj(obj: dict) -> SymmetricDesign:
         raise FormatError("design document must be a JSON object")
     try:
         return SymmetricDesign(
-            v=int(obj["v"]),
-            k=int(obj["k"]),
-            lam=int(obj["lambda"]),
-            incidence=np.asarray(obj["incidence"], dtype=np.int64),
+            v=_json_int(obj["v"], "v"),
+            k=_json_int(obj["k"], "k"),
+            lam=_json_int(obj["lambda"], "lambda"),
+            incidence=np.asarray([[_json_int(x, "incidence entry") for x in row]
+                                  for row in obj["incidence"]], dtype=np.int64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad design document: {exc}") from exc
 
 

@@ -226,6 +226,15 @@ class TestDesignsCommands:
         code, rep = run_json(capsys, "designs", "verify", str(d_path))
         assert code == 1 and not rep["valid"]
 
+    @pytest.mark.parametrize("field,value", [("v", 3.9), ("k", "1"), ("lambda", False)])
+    def test_verify_rejects_non_integer_fields(self, capsys, tmp_path, field, value):
+        doc = {"v": 3, "k": 1, "lambda": 0, "incidence": np.eye(3, dtype=int).tolist()}
+        doc[field] = value
+        d_path = tmp_path / "d.json"
+        d_path.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "designs", "verify", str(d_path))
+        assert code == 1 and not rep["valid"]
+
 
 class TestBridgeExtractScatter:
     def test_bridge_round_trip(self, capsys, tmp_path):
@@ -302,6 +311,11 @@ _BAD_CELL_DOCS = [
     (["verify"], {"n": 1, "kind": "real-exact", "q_entries": [["1", "1"], 3]}),
     (["verify"], {"n": 2, "kind": "real-exact", "d": "1e30",
                   "q_entries": [["1e30", "1"], ["1", "-1e30"]]}),
+    (["verify"], {"n": True, "kind": "complex", "entries": [[[1, 0]]]}),
+    (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [1.9, 2]}),
+    (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [True, 2]}),
+    (["param", "decode"], {"n": 2.7, "m": 1.2, "T": [[[1, 0]]], "S_h": None, "P": [1, 2]}),
+    (["param", "decode"], {"n": "2", "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [1, 2]}),
 ]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_hermitian_unitary, random_unitary
 from mpsmat.core import is_hermitian, is_unitary
+from mpsmat.families import complex_core_matrix, full_j_matrix
 from mpsmat.parametrize import (
     DegenerateSpecError,
     HermitianUnitaryParam,
@@ -16,6 +17,30 @@ from mpsmat.parametrize import (
     decompose_unitary,
     eigenbasis_from_param,
 )
+
+
+def _ill_leading_block(n, m, rng, delta=1e-4):
+    """S = 2BB* - I with B = orth([X; Y]), where the m x m top X has one
+    singular value delta, so the leading m x m block of S + I has a
+    condition number near delta^-2."""
+    def gauss(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    u, _, vh = np.linalg.svd(gauss(m, m))
+    x = (u * np.r_[np.ones(m - 1), delta]) @ vh
+    b, _ = np.linalg.qr(np.vstack([x, gauss(n - m, m)]))
+    s = 2 * b @ b.conj().T - np.eye(n)
+    return (s + s.conj().T) / 2
+
+
+def _near_minus_one(n, delta, exact, rng):
+    """Unitary with one eigenvalue at distance delta from -1, ``exact``
+    eigenvalues equal to -1 and the rest uniform on the circle."""
+    v = random_unitary(n, rng)
+    phases = rng.uniform(-np.pi, np.pi, size=n)
+    phases[0] = np.pi - 2 * np.arcsin(delta / 2)
+    phases[1:1 + exact] = np.pi
+    return (v * np.exp(1j * phases)) @ v.conj().T
 
 
 def _random_param(n, rng, scale=1.0):
@@ -96,13 +121,42 @@ class TestDecomposeHermitianUnitary:
         assert param.perm != (0, 1)
         assert np.linalg.norm(build_hermitian_unitary(param) - s) < 1e-12
 
-    def test_identity_perm_when_leading_block_regular(self, rng):
-        s = build_hermitian_unitary(_random_param(6, rng))
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    def test_pivot_block_well_conditioned_when_leading_block_is_not(self, n, rng):
+        m = n // 2
+        for _ in range(20):
+            s = _ill_leading_block(n, m, rng)
+            splus = s + np.eye(n)
+            assert np.linalg.cond(splus[:m, :m]) > 1e7
+            param = decompose_hermitian_unitary(s)
+            rows = np.argsort(param.perm)[:m]
+            assert np.linalg.cond(splus[np.ix_(rows, rows)]) < 1e3
+            assert np.linalg.norm(build_hermitian_unitary(param) - s) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10])
+    def test_ties_keep_identity_perm(self, n):
+        # Every pivot of S + I ties for I - (2/n)J, so the lowest index wins.
+        assert decompose_hermitian_unitary(full_j_matrix(n)).perm == tuple(range(n))
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_greedy_pivots_with_ties_to_lowest_index(self, n):
+        # Oracle: at step k the chosen row is the lowest index whose diagonal
+        # entry of the Schur complement of the rows chosen so far, computed
+        # by a solve, is within 1e-12 of the largest.  These members have
+        # pivots that tie exactly but differ in rounding.
+        s = complex_core_matrix(n)
         param = decompose_hermitian_unitary(s)
-        if param.perm != tuple(range(6)):
-            # Regular leading block must imply identity permutation.
-            block = (s + np.eye(6))[: param.m, : param.m]
-            assert abs(np.linalg.det(block)) < 1e-6
+        order = list(np.argsort(param.perm))
+        g = s + np.eye(n)
+        for k in range(param.m):
+            done, rest = order[:k], sorted(order[k:])
+            schur = g[np.ix_(rest, rest)]
+            if done:
+                schur = schur - g[np.ix_(rest, done)] @ np.linalg.solve(
+                    g[np.ix_(done, done)], g[np.ix_(done, rest)])
+            diag = np.diagonal(schur).real
+            assert order[k] == rest[int(np.argmax(diag >= diag.max() - 1e-12))]
+        assert order[param.m:] == sorted(order[param.m:])
 
 
 class TestEigenbasis:
@@ -216,6 +270,15 @@ class TestDecomposeUnitary:
             u = build_unitary(UnitaryParam(n=n, m=m, t=t, s_h=s_h, perm=perm))
             rebuilt = build_unitary(decompose_unitary(u))
             assert np.linalg.norm(rebuilt - u) < 1e-9
+
+    @pytest.mark.parametrize("delta, bound", [(1e-4, 1e-9), (1e-6, 1e-6), (1e-8, 1e-6)])
+    @pytest.mark.parametrize("exact", [0, 5])
+    def test_eigenvalue_near_minus_one(self, delta, bound, exact, rng):
+        for _ in range(50):
+            u = _near_minus_one(30, delta, exact, rng)
+            param = decompose_unitary(u)
+            assert param.m == 30 - exact
+            assert np.linalg.norm(build_unitary(param) - u) <= bound
 
     def test_round_trip_haar_unitaries(self, rng):
         for _ in range(30):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mpsmat.designs import paley_conference, sylvester_hadamard
+from mpsmat.designs import identity_design, paley_conference, sylvester_hadamard
 from mpsmat.exact import IntegerMps, Transform, full_j_mps
 from mpsmat.families import complex_core_matrix
 from mpsmat.parametrize import (
@@ -77,6 +77,12 @@ class TestMatrixRoundTrip:
         with pytest.raises(FormatError):
             matrix_from_obj(obj)
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None])
+    def test_non_integer_order_rejected(self, n):
+        obj = {"n": n, "kind": "complex", "entries": [[[1.0, 0.0]]]}
+        with pytest.raises(FormatError):
+            matrix_from_obj(obj)
+
     def test_invalid_rational_rejected(self):
         obj = matrix_to_obj(full_j_mps(4))
         obj["d"] = "2/0"
@@ -133,6 +139,16 @@ class TestParams:
         back = param_from_obj(obj)
         assert back.t is None
 
+    @pytest.mark.parametrize("changes", [
+        {"P": [1.9, 2]}, {"P": [True, 2]}, {"n": 2.7, "m": 1.2}, {"n": "2"},
+        {"m": False}, {"P": "12"},
+    ])
+    def test_integer_fields_must_be_json_integers(self, changes):
+        obj = param_to_obj(HermitianUnitaryParam.of([[1.0]]))
+        obj.update(changes)
+        with pytest.raises(FormatError):
+            param_from_obj(obj)
+
 
 class TestDesigns:
     def test_round_trip(self):
@@ -147,6 +163,18 @@ class TestDesigns:
         with pytest.raises((FormatError, Exception)):
             design_from_obj({"v": 3, "k": 2, "lambda": 1,
                              "incidence": [[1, 1, 1]] * 3})
+
+    @pytest.mark.parametrize("field,value", [
+        ("v", 3.9), ("k", "1"), ("lambda", False),
+        ("incidence", [[1.7, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("incidence", [[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ("incidence", [[10**30, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ])
+    def test_integer_fields_must_be_json_integers(self, field, value):
+        obj = design_to_obj(identity_design(3))
+        obj[field] = value
+        with pytest.raises(FormatError):
+            design_from_obj(obj)
 
 
 def test_transform_obj():
