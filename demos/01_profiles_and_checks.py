@@ -13,7 +13,7 @@ from mpsmat import (
     check_d_bound,
     check_trace_identity,
     d_from_mp,
-    full_j_matrix,
+    full_j_mps,
     is_hermitian,
     is_unitary,
     mps_profile,
@@ -22,7 +22,7 @@ from mpsmat import (
 
 # The permutation-symmetric member: I - (2/n)J.  For n = 6 its diagonal is
 # 2/3 and its off-diagonal entries are -1/3, so d = 2 = n/2 - 1.
-s = full_j_matrix(6)
+s = full_j_mps(6).matrix()
 print("I - (2/6)J:")
 print(np.round(s, 3))
 print("hermitian:", is_hermitian(s), " unitary:", is_unitary(s))

@@ -19,12 +19,12 @@ from mpsmat import (
     conference_core_family,
     design_alpha_for_ratio,
     design_family,
-    full_j_matrix,
+    design_mps,
+    full_j_mps,
     hadamard_core_family,
     hadamard_to_design,
     mps_profile,
     paley_conference,
-    real_from_design,
     sylvester_hadamard,
     upper_interval,
 )
@@ -65,11 +65,11 @@ for d in (2.0, 3.0, 6.0):
     report(f"design_family(fano, a={alpha:.3f})", design_family(fano, alpha), d)
 
 print("\nreal (symmetric orthogonal) members from designs, exact integers:")
-s = real_from_design(14, 2, fano)
+s = design_mps(fano, 14, 2).matrix()
 q = np.rint(np.sqrt(17) * s).astype(int)
 print("  Q = sqrt(17) S has integer entries; Q Q^T = 17 I:",
       np.array_equal(q @ q.T, 17 * np.eye(14, dtype=int)))
-report("real_from_design(14, 2, fano)", s, 2.0)
+report("design_mps(fano, 14, 2)", s, 2.0)
 
 print("\nthe one-point family everyone starts from:")
-report("full_j(9)", full_j_matrix(9), 9 / 2 - 1)
+report("full_j(9)", full_j_mps(9).matrix(), 9 / 2 - 1)

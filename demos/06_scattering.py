@@ -12,14 +12,14 @@ import numpy as np
 
 from mpsmat import (
     complex_core_matrix,
-    full_j_matrix,
+    full_j_mps,
     mps_profile,
     scattering_probabilities,
     upper_interval,
 )
 
 for label, s in [
-    ("full_j(4)         ", full_j_matrix(4)),
+    ("full_j(4)         ", full_j_mps(4).matrix()),
     ("upper_interval(6,0)", upper_interval(6, 0.0)),
     ("complex_core(8)    ", complex_core_matrix(8)),
 ]:
@@ -40,6 +40,6 @@ for label, s in [
 # junction possible.
 s0 = upper_interval(6, 0.0)
 print("d = 0: reflection", scattering_probabilities(s0, 2)[2])
-stop = full_j_matrix(6)
+stop = full_j_mps(6).matrix()
 print("d = 2: reflection", scattering_probabilities(stop, 2)[2],
       "= 4/9 =", 4 / 9)

@@ -75,10 +75,8 @@ from .families import (
     design_alpha_for_ratio,
     design_family,
     design_family_ratio,
-    full_j_matrix,
     hadamard_core_family,
     n2_matrix,
-    real_from_design,
     upper_interval,
 )
 from .parametrize import (

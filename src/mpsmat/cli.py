@@ -3,7 +3,8 @@
 Subcommands: construct, verify, classify, search, canon, equiv, param,
 designs, extract-design, bridge, scatter.  All matrix input/output uses the
 shared JSON format (see serialize); --format csv switches the payload of
-matrix-producing commands to CSV.
+matrix-producing commands to CSV.  Each subcommand accepts only the options
+it reads.
 
 Exit codes: 0 success / exists / equivalent; 1 impossible / not equivalent /
 failed checks / domain error; 2 open / too large / incomplete results;
@@ -13,6 +14,7 @@ failed checks / domain error; 2 open / too large / incomplete results;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -71,7 +73,7 @@ def _load_matrix(path: str | None):
 
 
 def _emit_matrix(matrix, args) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         _write_text(serialize.matrix_to_csv(matrix), args.out)
     else:
         _write_text(serialize.dumps_matrix(matrix, indent=2), args.out)
@@ -133,18 +135,6 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _profile_obj(profile: core.MpsProfile) -> dict:
-    return {
-        "n": profile.n,
-        "r": profile.r,
-        "t": profile.t,
-        "d": profile.d,
-        "diag_signs": list(profile.diag_signs),
-        "p": profile.p,
-        "m": profile.m,
-    }
-
-
 def _cmd_verify(args) -> int:
     loaded = _load_matrix(args.file)
     mat = loaded.matrix() if isinstance(loaded, exact.IntegerMps) else np.asarray(loaded)
@@ -162,7 +152,7 @@ def _cmd_verify(args) -> int:
         try:
             prof = core.mps_profile(mat, tol)
             report["mps"] = True
-            report["profile"] = _profile_obj(prof)
+            report["profile"] = dataclasses.asdict(prof)
             # Measured d carries float noise; give the boundary tol slack.
             report["d_bound"] = core.check_d_bound(prof.n, max(0.0, prof.d - tol))
             report["trace_identity"] = core.check_trace_identity(prof, tol)
@@ -339,8 +329,6 @@ def _cmd_scatter(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,11 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--aux", default=None, help="auxiliary matrix/design file")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a matrix file")
     p.add_argument("file", nargs="?", default=None)
     _add_common(p)
+    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="existence verdict for (n, d)")
@@ -386,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canon", help="canonical form of a real-exact matrix")
     p.add_argument("file", nargs="?", default=None)
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("equiv", help="equivalence witness between two matrices")
@@ -400,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general", action="store_true",
                    help="force the general-unitary parametrization")
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_param)
 
     p = sub.add_parser("designs", help="design and provider utilities")
@@ -409,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conference", type=int, default=None)
     p.add_argument("--fourier", type=int, default=None)
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_designs)
 
     p = sub.add_parser("extract-design", help="design behind a real matrix")
@@ -419,12 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bridge", help="matrix <-> Hadamard bridge (by input kind)")
     p.add_argument("file", nargs="?", default=None)
     _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_bridge)
 
     p = sub.add_parser("scatter", help="scattering probabilities from one edge")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--edge", type=int, required=True, help="1-based edge index")
     _add_common(p)
+    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_scatter)
 
     return parser

@@ -246,6 +246,17 @@ def _zeros_to_diagonal(a: np.ndarray, tol: float) -> np.ndarray:
     return a[order]
 
 
+def _unit_phase(x: np.ndarray, tol: float) -> np.ndarray:
+    """The entrywise scaling that takes x to ones: conj(x)/|x|, or sign(x) for
+    real x.  A zero first entry, the corner of a conference matrix, counts as 1."""
+    if abs(x[0]) <= tol:
+        x = x.copy()
+        x[0] = 1
+    if np.iscomplexobj(x):
+        return x.conj() / np.abs(x)
+    return np.sign(x).astype(np.int64)
+
+
 def normalize_to_standard(matrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a Hadamard or conference matrix to the bordered standard form.
 
@@ -253,53 +264,33 @@ def normalize_to_standard(matrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray,
     all-ones first row and first column (and zero diagonal for conference
     matrices) and ``core`` is its lower-right (N-1) x (N-1) block.
 
-    Real matrices are dephased by sign flips, complex ones by unimodular
-    row/column scalings.  Hermitian inputs are dephased by a unitary diagonal
-    congruence D C D*, which preserves hermiticity/symmetry; a conference-like
-    matrix whose zeros are off the diagonal is first repaired by a row
-    permutation (and rejected if its zeros are not a permutation pattern).
-    The operation is idempotent and preserves the defining Gram identity.
+    Columns are dephased by the first row, then rows by the first column:
+    real matrices by sign flips, complex ones by unimodular scalings.
+    Hermitian conference inputs are dephased instead by a unitary diagonal
+    congruence D C D*, which preserves hermiticity/symmetry; a
+    conference-like matrix whose zeros are off the diagonal is first repaired
+    by a row permutation (and rejected if its zeros are not a permutation
+    pattern).  A real Hadamard matrix must have exact integer entries.  The
+    operation is idempotent and preserves the defining Gram identity.
     """
     a = as_square_matrix(matrix)
-    n = a.shape[0]
     is_conference = bool(np.any(np.abs(a) <= tol))
     if is_conference:
         a = _zeros_to_diagonal(a, tol)
-        hermitian = np.max(np.abs(a - a.conj().T)) <= tol
-        if hermitian:
+        if np.max(np.abs(a - a.conj().T)) <= tol:
             # D C D* with D_j = C_0j (D_0 = 1) makes row and column 0 all ones
             # at once while preserving hermiticity.
             ref = a[0].copy()
             ref[0] = 1
             if np.any(np.abs(ref) <= tol):
                 raise NotNormalizableError("first row contains unexpected zeros")
-            if np.iscomplexobj(a):
-                dvec = ref / np.abs(ref)
-                std = dvec[:, None] * a * dvec.conj()[None, :]
-            else:
-                dvec = np.sign(ref).astype(np.int64)
-                std = dvec[:, None] * a * dvec[None, :]
-        else:
-            col = a[0].copy()
-            col[0] = 1
-            if np.iscomplexobj(a):
-                std = a * (col.conj() / np.abs(col))[None, :]
-                row = std[:, 0].copy()
-                row[0] = 1
-                std = (row.conj() / np.abs(row))[:, None] * std
-            else:
-                std = a * np.sign(col).astype(np.int64)[None, :]
-                row = std[:, 0].copy()
-                row[0] = 1
-                std = np.sign(row).astype(np.int64)[:, None] * std
-    else:
-        if np.iscomplexobj(a):
-            std = a * (a[0].conj() / np.abs(a[0]))[None, :]
-            std = (std[:, 0].conj() / np.abs(std[:, 0]))[:, None] * std
-        else:
-            b = _as_int_matrix(a)
-            std = b * np.sign(b[0])[None, :]
-            std = np.sign(std[:, 0])[:, None] * std
+            dvec = _unit_phase(ref.conj(), tol)
+            std = dvec[:, None] * a * dvec.conj()[None, :]
+            return std, std[1:, 1:].copy()
+    elif not np.iscomplexobj(a):
+        a = _as_int_matrix(a)
+    std = a * _unit_phase(a[0], tol)[None, :]
+    std = _unit_phase(std[:, 0], tol)[:, None] * std
     return std, std[1:, 1:].copy()
 
 

@@ -274,6 +274,20 @@ class StandardForm:
         return q[:p, :p], q[:p, p:], q[p:, :p], q[p:, p:]
 
 
+def _pin_signs(work: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paired sign flips making row 0 of the leading p x p block -2 off the
+    diagonal and row p of the trailing block +2 off it: (flipped, signs)."""
+    n = work.shape[0]
+    signs = np.ones(n, dtype=np.int64)
+    for j in range(1, p):
+        if work[0, j] != -2:
+            signs[j] = -1
+    for j in range(p + 1, n):
+        if work[p, j] != 2:
+            signs[j] = -1
+    return work * np.outer(signs, signs), signs
+
+
 def to_standard_form(m: IntegerMps) -> StandardForm:
     """Deterministic reduction to the standard form by equivalence operations.
 
@@ -295,15 +309,7 @@ def to_standard_form(m: IntegerMps) -> StandardForm:
     work = g * q
     order = np.argsort(np.diagonal(work) < 0, kind="stable")
     work = work[np.ix_(order, order)]
-    signs = np.ones(n, dtype=np.int64)
-    for j in range(1, p):
-        if work[0, j] != -2:
-            signs[j] = -1
-    if p < n:
-        for j in range(p + 1, n):
-            if work[p, j] != 2:
-                signs[j] = -1
-    work = work * np.outer(signs, signs)
+    work, signs = _pin_signs(work, p)
     t = Transform(perm=tuple(int(x) for x in order),
                   signs=tuple(int(s) for s in signs), global_sign=g)
     out = IntegerMps(d=m.d, two_q=work)
@@ -402,14 +408,7 @@ def _zero_ratio_split(m: IntegerMps) -> StandardForm:
     for subset in combinations(range(n), p):
         order = list(subset) + [i for i in range(n) if i not in subset]
         work = q[np.ix_(order, order)]
-        signs = np.ones(n, dtype=np.int64)
-        for j in range(1, p):
-            if work[0, j] != -2:
-                signs[j] = -1
-        for j in range(p + 1, n):
-            if work[p, j] != 2:
-                signs[j] = -1
-        cand = work * np.outer(signs, signs)
+        cand, signs = _pin_signs(work, p)
         off = ~np.eye(p, dtype=bool)
         if (
             np.all(cand[:p, :p][off] == -2)
@@ -547,14 +546,18 @@ def hadamard_to_mps(hadamard) -> IntegerMps:
     return _assemble_block_form(n, d, core)
 
 
+def _block_scheme(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[A, B], [B*, -A]]: the block layout shared by every construction family."""
+    return np.block([[a, b], [b.conj().T, -a]])
+
+
 def _assemble_block_form(n: int, d: Fraction, g: np.ndarray) -> IntegerMps:
     """Doubled matrix [[(d+1)I - J, G], [G^T, -(d+1)I + J]] for integer-block G."""
     p = n // 2
     two_d = int(2 * d)
     jp = np.ones((p, p), dtype=np.int64)
     tl = (two_d + 2) * np.eye(p, dtype=np.int64) - 2 * jp
-    q = np.block([[tl, 2 * g], [2 * g.T, -tl]])
-    return IntegerMps(d=d, two_q=q)
+    return IntegerMps(d=d, two_q=_block_scheme(tl, 2 * g))
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +620,8 @@ def conference_block_mps(conference) -> IntegerMps:
     c = np.asarray(conference, dtype=np.int64)
     if not np.array_equal(c, c.T) or not verify_conference(c):
         raise ValueError("input is not a symmetric real conference matrix")
-    p = c.shape[0]
-    eye = np.eye(p, dtype=np.int64)
-    q = np.block([[eye + c, c - eye], [c - eye, -(eye + c)]])
-    return IntegerMps(d=Fraction(1), two_q=2 * q)
+    eye = np.eye(c.shape[0], dtype=np.int64)
+    return IntegerMps(d=Fraction(1), two_q=2 * _block_scheme(eye + c, c - eye))
 
 
 def design_mps(design: SymmetricDesign, n: int, d) -> IntegerMps:

@@ -14,9 +14,10 @@ accepted closed: the formulas remain valid there and reproduce the canonical
 members of neighbouring families.
 
 Auxiliary Hadamard/conference matrices and designs are injected as arguments;
-the designs module supplies standard providers.  ``FAMILIES`` is the one
-registry of the CLI families: it pairs each float builder with its exact
-builder and its built-in provider, for ``construct`` and the classifier.
+the designs module supplies standard providers.  Real members are built only
+by the exact module.  ``FAMILIES`` is the one registry of the CLI families: it
+pairs each exact builder with the float builder of a family's complex members
+and its built-in provider, for ``construct`` and the classifier.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "Family",
     "FAMILIES",
     "FAMILY_NAMES",
-    "full_j_matrix",
     "n2_matrix",
     "upper_interval",
     "hadamard_core_family",
@@ -55,7 +55,6 @@ __all__ = [
     "design_family",
     "design_family_ratio",
     "design_alpha_for_ratio",
-    "real_from_design",
 ]
 
 
@@ -78,18 +77,8 @@ class NoRealRootError(ValueError):
 def _block_matrix(n: int, d: float, off_block: np.ndarray) -> np.ndarray:
     """Assemble the standard block scheme around the given off-diagonal block."""
     m = n // 2
-    eye = np.eye(m)
-    j = np.ones((m, m))
-    tl = (d + 1) * eye - j
-    s = np.block([[tl, off_block], [off_block.conj().T, -tl]])
-    return s / math.sqrt(d * d + n - 1)
-
-
-def full_j_matrix(n: int) -> np.ndarray:
-    """I - (2/n)J, the permutation-symmetric member of M_n(n/2 - 1)."""
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    return np.eye(n) - 2.0 / n * np.ones((n, n))
+    tl = (d + 1) * np.eye(m) - np.ones((m, m))
+    return exact._block_scheme(tl, off_block) / math.sqrt(d * d + n - 1)
 
 
 def n2_matrix(d: float) -> np.ndarray:
@@ -97,6 +86,18 @@ def n2_matrix(d: float) -> np.ndarray:
     if d < 0:
         raise OutOfRangeError("d must be non-negative")
     return np.array([[d, 1.0], [1.0, -d]]) / math.sqrt(d * d + 1)
+
+
+# Float names of two exact members, kept while the benchmark's tracer
+# (perfbench/tracing.py GROUPS) counts them among families.builders.
+def full_j_matrix(n: int) -> np.ndarray:
+    """``exact.full_j_mps(n).matrix()``: I - (2/n)J, a member of M_n(n/2 - 1)."""
+    return exact.full_j_mps(n).matrix()
+
+
+def real_from_design(n: int, d, design: SymmetricDesign) -> np.ndarray:
+    """``exact.design_mps(design, n, d).matrix()``."""
+    return exact.design_mps(design, n, d).matrix()
 
 
 def upper_interval(n: int, d: float) -> np.ndarray:
@@ -183,21 +184,12 @@ def complex_core_matrix(n: int) -> np.ndarray:
     """Member of M_n(n/4 - 3/2) for any even n >= 6, from the Fourier
     complex Hadamard matrix of order n/2 + 1.
 
-    The off-diagonal block is the dephased core itself and the diagonal
-    blocks use the shifted coefficient n/4 - 1/2.
+    The off-diagonal block is the dephased core itself.
     """
     if n % 2 or n < 6:
         raise OutOfRangeError("n must be even and at least 6 (d = n/4 - 3/2 >= 0)")
-    m = n // 2
-    h = fourier_complex_hadamard(m + 1)
-    _, core = normalize_to_standard(h)
-    d = n / 4 - 1.5
-    b = n / 4 - 0.5
-    eye = np.eye(m)
-    j = np.ones((m, m))
-    tl = b * eye - j
-    s = np.block([[tl, core], [core.conj().T, -tl]])
-    return s / math.sqrt(d * d + n - 1)
+    _, core = normalize_to_standard(fourier_complex_hadamard(n // 2 + 1))
+    return _block_matrix(n, n / 4 - 1.5, core)
 
 
 def conference_block_family(n: int, d: float, conference) -> np.ndarray:
@@ -218,11 +210,8 @@ def conference_block_family(n: int, d: float, conference) -> np.ndarray:
     if d < -1e-12 or d > 1 + 1e-12:
         raise OutOfRangeError("d must lie in [0, 1]")
     alpha = math.acos(min(1.0, max(0.0, d)))
-    m = n // 2
-    eye = np.eye(m)
-    tl = d * eye + c
-    tr = c - np.exp(1j * alpha) * eye
-    s = np.block([[tl, tr], [tr.conj().T, -tl]])
+    eye = np.eye(n // 2)
+    s = exact._block_scheme(d * eye + c, c - np.exp(1j * alpha) * eye)
     return s / math.sqrt(d * d + n - 1)
 
 
@@ -268,29 +257,20 @@ def design_family(design: SymmetricDesign, alpha: float) -> np.ndarray:
     return _block_matrix(n, d, off)
 
 
-def real_from_design(n: int, d, design: SymmetricDesign) -> np.ndarray:
-    """Real member of M_n^R(d) from a symmetric (n/2, k, lam)-design.
-
-    Requires (k, lam) to match the parameters determined by (n, d); the
-    underlying exact construction is exact.design_mps, whose integer identity
-    Q Q^T = (d^2 + n - 1) I is validated on construction.
-    """
-    return exact.design_mps(design, n, d).matrix()
-
-
 class Family(NamedTuple):
     """One construction family, as ``construct`` and the classifier use it.
 
-    ``float(n, d, aux, alpha)`` builds a member from the auxiliary input of
-    kind ``aux`` ("matrix" or "design"), which ``provider(n, d)`` supplies
-    where it can (elsewhere it returns None or raises).  ``exact(n, d,
-    aux=None)`` builds the real member at the family's real points, asking
-    the provider only there, and returns None elsewhere.  ``ratio(n)`` is the
-    d of a fixed-ratio family; ``alpha`` marks the family whose phase angle
-    may stand in for d.  Builders are looked up when called.
+    ``exact(n, d, aux=None)`` builds the real member at the family's real
+    points, asking the provider only there, and returns None elsewhere: a
+    member it returns has order n and ratio d.  ``float(n, d, aux, alpha)``
+    builds a member from the auxiliary input of kind ``aux`` ("matrix" or
+    "design"), which ``provider(n, d)`` supplies where it can (elsewhere it
+    returns None or raises); it is None for a family with real members only.
+    ``ratio(n)`` is the d of a fixed-ratio family; ``alpha`` marks the family
+    whose phase angle may stand in for d.  Builders are looked up when called.
     """
 
-    float: Callable
+    float: Optional[Callable] = None
     exact: Callable = lambda n, d, aux=None: None
     aux: Optional[str] = None
     provider: Callable = lambda n, d: None
@@ -299,7 +279,7 @@ class Family(NamedTuple):
 
 
 def _conference_block_exact(n, d, conference=None):
-    if d != 1:
+    if d != 1 or n % 2:
         return None
     c = designs.provider_conference(n // 2) if conference is None else conference
     return None if c is None or np.iscomplexobj(c) else exact.conference_block_mps(c)
@@ -307,7 +287,9 @@ def _conference_block_exact(n, d, conference=None):
 
 def _real_design(n, d):
     """The built-in design behind the real member at (n, d), if any."""
-    params = designs.design_params_for(n, int(d)) if d.denominator == 1 else None
+    if d.denominator != 1 or n % 2 or n < 6:
+        return None
+    params = designs.design_params_for(n, int(d))
     return None if params is None else designs.provider_design(n // 2, params.k, params.lam)
 
 
@@ -335,8 +317,7 @@ def _covering_design(n, d):
 #: The CLI families, in the order the classifier tries their real members.
 FAMILIES: dict[str, Family] = {
     "full_j": Family(
-        lambda n, d, aux, alpha: full_j_matrix(n),
-        lambda n, d, aux=None: exact.full_j_mps(n) if d == Fraction(n, 2) - 1 else None,
+        exact=lambda n, d, aux=None: exact.full_j_mps(n) if d == Fraction(n, 2) - 1 else None,
         ratio=lambda n: Fraction(n, 2) - 1),
     "n2": Family(
         lambda n, d, aux, alpha: n2_matrix(float(d)),
@@ -345,7 +326,8 @@ FAMILIES: dict[str, Family] = {
     "upper_interval": Family(
         lambda n, d, aux, alpha: upper_interval(n, float(d)),
         lambda n, d, aux=None: (exact.upper_interval_mps(n, d)
-                                if d in (Fraction(n, 2) - 1, Fraction(n, 2) - 3) else None)),
+                                if n % 2 == 0 and n >= 4
+                                and d in (Fraction(n, 2) - 1, Fraction(n, 2) - 3) else None)),
     "hadamard_core": Family(
         lambda n, d, h, alpha: hadamard_core_family(n, float(d), h),
         aux="matrix", provider=lambda n, d: designs.sylvester_hadamard(n // 2 + 1)),
@@ -363,9 +345,7 @@ FAMILIES: dict[str, Family] = {
         lambda n, d, design, alpha: design_family(
             design, design_alpha_for_ratio(design, float(d)) if alpha is None else alpha),
         aux="design", provider=_covering_design, alpha=True),
-    "design_real": Family(
-        lambda n, d, design, alpha: exact.design_mps(design, n, d),
-        _design_exact, aux="design", provider=_real_design),
+    "design_real": Family(exact=_design_exact, aux="design", provider=_real_design),
 }
 
 #: Family names used by the file/CLI interfaces.

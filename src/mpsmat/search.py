@@ -138,23 +138,14 @@ def _tails_for_row(n: int, row: int, diag_choices: tuple[int, ...],
 
 def _row_plans(n: int, two_d: int, mode: str) -> list[list[np.ndarray]]:
     """Candidate-tail tables per row, one plan per explored diagonal layout."""
-    plans = []
     if mode == "all":
         diag = (0,) if two_d == 0 else (two_d, -two_d)
-        plans.append([_tails_for_row(n, r, diag, None) for r in range(n)])
-        return plans
+        return [[_tails_for_row(n, r, diag, None) for r in range(n)]]
     if mode != "up_to_equivalence":
         raise ValueError(f"unknown mode {mode!r}")
-    if two_d == 0:
-        rows = []
-        for r in range(n):
-            fixed = None
-            if r == 0:
-                fixed = np.full(n - 1, -2, dtype=np.int16)
-            rows.append(_tails_for_row(n, r, (0,), fixed))
-        plans.append(rows)
-        return plans
-    for p in range((n + 1) // 2, n + 1):
+    plans = []
+    # d = 0 has no diagonal signs to split by: one layout, p = n (to_standard_form's).
+    for p in (n,) if two_d == 0 else range((n + 1) // 2, n + 1):
         rows = []
         for r in range(n):
             diag = (two_d,) if r < p else (-two_d,)

@@ -45,10 +45,8 @@ from mpsmat.families import (
     design_alpha_for_ratio,
     design_family,
     design_family_ratio,
-    full_j_matrix,
     hadamard_core_family,
     n2_matrix,
-    real_from_design,
     upper_interval,
 )
 from mpsmat.parametrize import (
@@ -97,7 +95,7 @@ def _swept_constructions() -> list[tuple[str, int, float, np.ndarray]]:
     h12 = sign_matrix(_H12_ROWS)
     out = []
     for n in range(4, 31, 2):
-        out.append(("full_j", n, n / 2 - 1, full_j_matrix(n)))
+        out.append(("full_j", n, n / 2 - 1, full_j_mps(n).matrix()))
     for d in _interval_points(0.0, 5.0):
         out.append(("n2", 2, d, n2_matrix(d)))
     for n in range(4, 31, 2):
@@ -141,7 +139,7 @@ def _swept_constructions() -> list[tuple[str, int, float, np.ndarray]]:
         (6, 0, identity_design(3)),
     ]
     for n, d, design in real_design_cases:
-        out.append(("design_real", n, float(d), real_from_design(n, d, design)))
+        out.append(("design_real", n, float(d), design_mps(design, n, d).matrix()))
     return out
 
 

@@ -287,6 +287,15 @@ class TestUsageErrors:
             main(["classify", "--n", "6", "--d", "1", "--bogus"])
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "4", "--format", "csv"],
+        ["classify", "--n", "6", "--d", "1", "--tol", "1e-3"],
+    ])
+    def test_option_the_command_does_not_read_exit_64(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -33,7 +33,7 @@ _VALID_DOCS = [
     serialize.matrix_to_obj(families.complex_core_matrix(6)),
     serialize.design_to_obj(designs.identity_design(2)),
     serialize.design_to_obj(designs.hadamard_to_design(designs.sylvester_hadamard(8))),
-    serialize.param_to_obj(decompose_hermitian_unitary(families.full_j_matrix(4))),
+    serialize.param_to_obj(decompose_hermitian_unitary(exact.full_j_mps(4).matrix())),
     serialize.param_to_obj(decompose_unitary(designs.fourier_complex_hadamard(3) / np.sqrt(3))),
 ]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mpsmat import designs, exact
+from mpsmat import designs, exact, families
 from mpsmat.core import (
     check_trace_identity,
     is_hermitian,
@@ -29,10 +29,8 @@ from mpsmat.families import (
     design_alpha_for_ratio,
     design_family,
     design_family_ratio,
-    full_j_matrix,
     hadamard_core_family,
     n2_matrix,
-    real_from_design,
     upper_interval,
 )
 
@@ -49,20 +47,23 @@ def assert_member(s, d, tol=1e-9):
 
 class TestFullJ:
     def test_order_two(self):
-        assert np.allclose(full_j_matrix(2), [[0, -1], [-1, 0]], atol=1e-12)
+        assert np.allclose(exact.full_j_mps(2).matrix(), [[0, -1], [-1, 0]], atol=1e-12)
 
     def test_order_six_integer_identity(self):
-        q = 3 * full_j_matrix(6)
+        q = 3 * exact.full_j_mps(6).matrix()
         assert np.allclose(np.diagonal(q), 2, atol=1e-12)
         assert np.allclose(q @ q.T, 9 * np.eye(6), atol=1e-12)
 
     def test_order_three_half_ratio(self):
-        prof = assert_member(full_j_matrix(3), 0.5)
+        prof = assert_member(exact.full_j_mps(3).matrix(), 0.5)
         assert prof.p == 3
 
     def test_sweep(self):
         for n in range(2, 31):
-            assert_member(full_j_matrix(n), n / 2 - 1)
+            assert_member(exact.full_j_mps(n).matrix(), n / 2 - 1)
+
+    def test_float_name_is_the_exact_member(self):
+        assert np.array_equal(families.full_j_matrix(5), exact.full_j_mps(5).matrix())
 
 
 class TestN2:
@@ -258,29 +259,34 @@ class TestDesignFamily:
 class TestRealFromDesign:
     def test_fano_exact(self):
         fano = hadamard_to_design(sylvester_hadamard(8))
-        s = real_from_design(14, 2, fano)
+        s = exact.design_mps(fano, 14, 2).matrix()
         assert_member(s, 2.0)
         q = np.rint(math.sqrt(17) * s).astype(np.int64)
         assert np.array_equal(q @ q.T, 17 * np.eye(14, dtype=np.int64))
 
     def test_degenerate_ten_two(self):
-        s = real_from_design(10, 2, identity_design(5))
+        s = exact.design_mps(identity_design(5), 10, 2).matrix()
         assert_member(s, 2.0)
         # G = 2I - J satisfies G G^T = 4I + J.
         g = np.rint(math.sqrt(13) * s[:5, 5:]).astype(np.int64)
         assert np.array_equal(g @ g.T, 4 * np.eye(5, dtype=np.int64) + 1)
 
     def test_degenerate_eight_one(self):
-        s = real_from_design(8, 1, identity_design(4))
+        s = exact.design_mps(identity_design(4), 8, 1).matrix()
         assert_member(s, 1.0)
         h = np.rint(2 * math.sqrt(2) * s).astype(np.int64)
         assert np.array_equal(h @ h.T, 8 * np.eye(8, dtype=np.int64))
+
+    def test_float_name_is_the_exact_member(self):
+        fano = hadamard_to_design(sylvester_hadamard(8))
+        assert np.array_equal(families.real_from_design(14, 2, fano),
+                              exact.design_mps(fano, 14, 2).matrix())
 
     def test_parameter_mismatch(self):
         from mpsmat.exact import ParameterMismatchError
 
         with pytest.raises(ParameterMismatchError):
-            real_from_design(14, 4, hadamard_to_design(sylvester_hadamard(8)))
+            exact.design_mps(hadamard_to_design(sylvester_hadamard(8)), 14, 4)
 
 
 class TestRegistry:
@@ -305,6 +311,30 @@ class TestRegistry:
         assert FAMILIES["design_real"].exact(22, Fraction(4)) is None       # no provider
         for name in ("hadamard_core", "conference_core", "complex_core", "design_complex"):
             assert FAMILIES[name].exact(14, Fraction(3)) is None
+
+    @staticmethod
+    def _grid():
+        for n in range(2, 21):
+            for j in range(n - 1):
+                yield n, Fraction(j, 2)
+
+    def test_exact_is_none_or_a_member_of_order_n_and_ratio_d(self):
+        for name, family in FAMILIES.items():
+            for n, d in self._grid():
+                member = family.exact(n, d)
+                assert member is None or (member.n, member.d) == (n, d), (name, n, d)
+
+    @pytest.mark.parametrize("name", ["n2", "upper_interval", "conference_block"])
+    def test_float_member_equals_exact_member(self, name):
+        family = FAMILIES[name]
+        real_points = 0
+        for n, d in list(self._grid()) + [(2, Fraction(j, 2)) for j in range(1, 9)]:
+            member = family.exact(n, d)
+            if member is not None:
+                s = family.float(n, d, family.provider(n, d), None)
+                assert np.max(np.abs(s - member.matrix())) <= 1e-12, (n, d)
+                real_points += 1
+        assert real_points > 0
 
     def test_providers_run_only_at_real_points(self, monkeypatch):
         calls = []

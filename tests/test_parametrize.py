@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_hermitian_unitary, random_unitary
 from mpsmat.core import is_hermitian, is_unitary
-from mpsmat.families import complex_core_matrix, full_j_matrix
+from mpsmat.exact import full_j_mps
+from mpsmat.families import complex_core_matrix
 from mpsmat.parametrize import (
     DegenerateSpecError,
     HermitianUnitaryParam,
@@ -136,7 +137,7 @@ class TestDecomposeHermitianUnitary:
     @pytest.mark.parametrize("n", [3, 4, 6, 10])
     def test_ties_keep_identity_perm(self, n):
         # Every pivot of S + I ties for I - (2/n)J, so the lowest index wins.
-        assert decompose_hermitian_unitary(full_j_matrix(n)).perm == tuple(range(n))
+        assert decompose_hermitian_unitary(full_j_mps(n).matrix()).perm == tuple(range(n))
 
     @pytest.mark.parametrize("n", [8, 12, 20])
     def test_greedy_pivots_with_ties_to_lowest_index(self, n):
