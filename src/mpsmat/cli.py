@@ -14,7 +14,9 @@ failed checks / domain error; 2 open / too large / incomplete results;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -54,18 +56,27 @@ def _read_text(path: str | None) -> str:
         raise SystemExit(EXIT_IO)
 
 
-def _write_text(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream for --out: the file at ``path``, or stdout.  An OSError
+    while opening or writing it exits 74."""
     try:
         if path is None or path == "-":
-            sys.stdout.write(text)
-            if not text.endswith("\n"):
-                sys.stdout.write("\n")
+            yield sys.stdout
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text``; on stdout it ends with exactly one newline if it had none."""
+    with _output(path) as fh:
+        fh.write(text)
+        if fh is sys.stdout and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _load_matrix(path: str | None):
@@ -190,25 +201,16 @@ def _cmd_classify(args) -> int:
 def _cmd_search(args) -> int:
     ratios = [args.d] if args.d is not None else search.candidate_ratios(args.n)
     mode = "up_to_equivalence" if args.canonical else "all"
-    blocks = []
-    all_complete = True
-    for d in ratios:
-        res = search.exhaustive_search(
-            args.n, d, mode=mode, max_results=args.max_results,
-            budget_seconds=args.budget, max_order=args.max_order,
-        )
-        all_complete &= res.complete
-        block = {
-            "d": f"{res.d.numerator}/{res.d.denominator}",
-            "count": res.count,
-            "complete": res.complete,
-        }
-        if not args.count_only:
-            block["matrices"] = [serialize.matrix_to_obj(m) for m in res.matrices()]
-        blocks.append(block)
-    _write_text(json.dumps({"n": args.n, "mode": mode, "results": blocks},
-                           indent=2), args.out)
-    return EXIT_OK if all_complete else EXIT_OPEN
+    # Every ratio is searched before the output is opened, so an error writes nothing.
+    results = [search.exhaustive_search(args.n, d, mode=mode, max_results=args.max_results,
+                                        budget_seconds=args.budget,
+                                        max_order=args.max_order)
+               for d in ratios]
+    with _output(args.out) as fh:
+        serialize.write_search_document(fh, args.n, mode, results, not args.count_only)
+        if fh is sys.stdout:
+            fh.write("\n")
+    return EXIT_OK if all(res.complete for res in results) else EXIT_OPEN
 
 
 def _require_exact(loaded) -> exact.IntegerMps:
@@ -426,9 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on first use; parse_args gives a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except search.TooLargeError as exc:

@@ -237,10 +237,10 @@ def fourier_complex_hadamard(order: int) -> np.ndarray:
 def _zeros_to_diagonal(a: np.ndarray, tol: float) -> np.ndarray:
     """Row-permute a conference-like matrix so its zeros sit on the diagonal."""
     near_zero = np.abs(a) <= tol
-    if np.all(np.diagonal(near_zero)):
-        return a
     if not np.all(near_zero.sum(axis=0) == 1) or not np.all(near_zero.sum(axis=1) == 1):
         raise NotNormalizableError("zero entries do not form a permutation pattern")
+    if np.all(np.diagonal(near_zero)):
+        return a
     cols = np.argmax(near_zero, axis=1)
     order = np.argsort(cols)
     return a[order]

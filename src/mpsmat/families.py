@@ -137,6 +137,10 @@ def hadamard_core_family(n: int, d: float, hadamard) -> np.ndarray:
     cos2 = min(1.0, max(0.0, cos2))
     alpha = math.acos(math.sqrt(cos2))
     _, core = normalize_to_standard(h)
+    if np.iscomplexobj(core):
+        if np.max(np.abs(core.imag)) > DEFAULT_TOL:
+            raise NotHadamardError("the Hadamard core is complex; this family needs a real one")
+        core = core.real
     off = np.exp(1j * alpha * core.astype(float))
     return _block_matrix(n, d, off)
 

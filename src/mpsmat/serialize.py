@@ -39,6 +39,7 @@ __all__ = [
     "matrix_from_obj",
     "dumps_matrix",
     "loads_matrix",
+    "write_search_document",
     "matrix_to_csv",
     "param_to_obj",
     "param_from_obj",
@@ -146,6 +147,54 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
 
 def dumps_matrix(matrix: MatrixLike, indent: int | None = None) -> str:
     return json.dumps(matrix_to_obj(matrix), indent=indent)
+
+
+def write_search_document(fh, n: int, mode: str, results, with_matrices: bool) -> None:
+    """Write the ``search`` document to the text stream ``fh``, matrix by matrix.
+
+    ``results`` are the SearchResults of order n, one block per ratio.  The
+    text equals ``json.dumps({"n": n, "mode": mode, "results": blocks},
+    indent=2)`` where a block is {"d", "count", "complete"} plus, with
+    ``with_matrices``, "matrices": the ``matrix_to_obj`` of each hit.  It is
+    written straight from each exactly checked ``two_q_stack``: every distinct
+    cell and row is formatted once.
+    """
+    fh.write(f'{{\n  "n": {n},\n  "mode": {json.dumps(mode)},\n  "results": [')
+    for i, res in enumerate(results):
+        d = json.dumps(_frac_str(res.d))
+        fh.write(("," if i else "") + f'\n    {{\n      "d": {d},\n'
+                 f'      "count": {res.count},\n'
+                 f'      "complete": {json.dumps(res.complete)}')
+        if with_matrices:
+            fh.write(',\n      "matrices": [')
+            _write_matrices(fh, n, d, res.two_q_stack)
+        fh.write("\n    }")
+    fh.write("\n  ]\n}" if results else "]\n}")
+
+
+def _write_matrices(fh, n: int, d_json: str, stack: np.ndarray) -> None:
+    """The items of a block's "matrices" list and its closing bracket."""
+    if not len(stack):
+        fh.write("]")
+        return
+    cells = {int(v): " " * 14 + json.dumps(_frac_str(Fraction(int(v), 2)))
+             for v in np.unique(stack)}
+    head = (f'        {{\n          "n": {n},\n          "kind": "real-exact",\n'
+            f'          "d": {d_json},\n          "q_entries": [\n')
+    rows: dict[bytes, str] = {}
+    for k, q in enumerate(stack):
+        parts = []
+        for row in q:
+            key = row.tobytes()
+            text = rows.get(key)
+            if text is None:
+                text = rows[key] = ("            [\n"
+                                    + ",\n".join(cells[v] for v in row.tolist())
+                                    + "\n            ]")
+            parts.append(text)
+        fh.write((",\n" if k else "\n") + head + ",\n".join(parts)
+                 + "\n          ]\n        }")
+    fh.write("\n      ]")
 
 
 def loads_matrix(text: str) -> MatrixLike:

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from mpsmat.cli import main
+from mpsmat.designs import sylvester_hadamard
 from mpsmat.serialize import loads_matrix
 
 
@@ -72,6 +74,35 @@ class TestConstructVerify:
     def test_ratio_too_large_for_int64_fails(self, capsys):
         code, out = run(capsys, "construct", "--family", "n2", "--n", "2", "--d", "1e30")
         assert code == 1 and out == ""
+
+    def test_hadamard_core_rejects_a_complex_hadamard(self, capsys, tmp_path):
+        f4 = tmp_path / "F4.json"
+        assert main(["designs", "make", "--fourier", "4", "--out", str(f4)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["construct", "--family", "hadamard_core", "--n", "6",
+                         "--d", "1", "--aux", str(f4)])
+        assert code == 1
+        assert "NotHadamardError" in capsys.readouterr().err
+
+    def test_hadamard_core_takes_a_real_hadamard_of_complex_kind(self, capsys, tmp_path):
+        # The format of `designs make --fourier 4`, holding a real Hadamard matrix.
+        f4 = tmp_path / "F4.json"
+        assert main(["designs", "make", "--fourier", "4", "--out", str(f4)]) == 0
+        doc = json.loads(f4.read_text())
+        doc["entries"] = [[[float(x), 0.0] for x in row] for row in sylvester_hadamard(4)]
+        f4.write_text(json.dumps(doc))
+        h4 = tmp_path / "H4.json"
+        assert main(["designs", "make", "--hadamard", "4", "--out", str(h4)]) == 0
+        outputs = []
+        for aux in (f4, h4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["construct", "--family", "hadamard_core", "--n", "6",
+                             "--d", "1", "--aux", str(aux)])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_verify_fails_on_non_unitary(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -305,6 +336,44 @@ class TestUsageErrors:
         p = tmp_path / "junk.json"
         p.write_text("{not json")
         assert main(["verify", str(p)]) == 1
+
+
+
+class TestParserReuse:
+    """main reuses one parser tree; each call must behave as a fresh run."""
+
+    # Different subcommands, --out given then omitted, and a usage error (64)
+    # followed by valid calls.
+    SEQUENCE = [
+        ["search", "--n", "4", "--d", "1", "--out", "{out}"],
+        ["search", "--n", "4", "--d", "1", "--count-only"],
+        ["construct", "--family", "full_j", "--n", "4", "--format", "csv", "--out", "{out}"],
+        ["search", "--n", "4", "--format", "csv"],
+        ["construct", "--family", "full_j", "--n", "4"],
+        ["classify", "--n", "6", "--d", "2"],
+        ["designs", "make", "--hadamard", "4"],
+    ]
+
+    def test_consecutive_calls_match_fresh_runs(self, capsys, tmp_path, subprocess_env):
+        for k, template in enumerate(self.SEQUENCE):
+            outputs = []
+            for runner in ("main", "fresh"):
+                out = tmp_path / f"{runner}-{k}.out"
+                argv = [a.replace("{out}", str(out)) for a in template]
+                if runner == "main":
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                    stdout, stderr = capsys.readouterr()
+                else:
+                    proc = subprocess.run([sys.executable, "-m", "mpsmat.cli", *argv],
+                                          capture_output=True, text=True,
+                                          env=subprocess_env, timeout=120)
+                    code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+                written = out.read_text() if out.exists() else None
+                outputs.append((code, stdout, stderr, written))
+            assert outputs[0] == outputs[1], template
 
 
 _BAD_CELL_DOCS = [

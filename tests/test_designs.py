@@ -4,6 +4,7 @@ import pytest
 from mpsmat.designs import (
     BadOrderError,
     DesignInvalidError,
+    NotNormalizableError,
     SymmetricDesign,
     design_params_for,
     fourier_complex_hadamard,
@@ -166,6 +167,14 @@ class TestNormalize:
     def test_gram_identity_preserved(self, hadamard12):
         std, _ = normalize_to_standard(hadamard12)
         assert np.array_equal(std @ std.T, 12 * np.eye(12, dtype=np.int64))
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 0, 1j], [1, 0, 1], [1, 1, 0]],
+    ], ids=["real", "complex"])
+    def test_zero_diagonal_with_further_zeros_rejected(self, matrix):
+        with pytest.raises(NotNormalizableError):
+            normalize_to_standard(np.array(matrix))
 
 
 class TestDesignParams:
