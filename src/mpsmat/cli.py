@@ -120,19 +120,27 @@ def _load_aux(path: str, kind: str):
     text = _read_text(path)
     if kind == "design":
         return serialize.design_from_obj(json.loads(text))
-    return np.asarray(serialize.loads_matrix(text))
+    loaded = serialize.loads_matrix(text)
+    if isinstance(loaded, exact.IntegerMps):
+        raise serialize.FormatError("an auxiliary matrix is a Hadamard or conference "
+                                    "matrix, which carries no d")
+    return np.asarray(loaded)
 
 
 def _cmd_construct(args) -> int:
     name, n, d = args.family, args.n, args.d
     family = families.FAMILIES[name]
+    if args.alpha is not None and not family.alpha:
+        return _fail(f"{name} takes no --alpha", EXIT_USAGE)
+    if args.aux is not None and not family.aux:
+        return _fail(f"{name} takes no --aux", EXIT_USAGE)
     if family.ratio is not None:
         if d is not None and d != family.ratio(n):
             return _fail(f"{name} has d = {family.ratio(n)} at order {n}")
         d = family.ratio(n)
-    if d is None and not (family.alpha and args.alpha is not None):
+    if d is None and args.alpha is None:
         return _fail(f"{name} needs --d" + (" or --alpha" if family.alpha else ""))
-    aux = _load_aux(args.aux, family.aux) if args.aux and family.aux else None
+    aux = _load_aux(args.aux, family.aux) if args.aux else None
     member = family.exact(n, d, aux)
     if member is None:
         aux = family.provider(n, d) if aux is None else aux
@@ -238,17 +246,19 @@ def _cmd_equiv(args) -> int:
     return EXIT_OK
 
 
-def _cmd_param(args) -> int:
-    if args.action == "encode":
-        loaded = _load_matrix(args.file)
-        mat = loaded.matrix() if isinstance(loaded, exact.IntegerMps) else loaded
-        mat = np.asarray(mat, dtype=complex)
-        if core.is_hermitian(mat, args.tol) and not args.general:
-            param = decompose_hermitian_unitary(mat, args.tol)
-        else:
-            param = decompose_unitary(mat, args.tol)
-        _write_text(json.dumps(serialize.param_to_obj(param), indent=2), args.out)
-        return EXIT_OK
+def _cmd_param_encode(args) -> int:
+    loaded = _load_matrix(args.file)
+    mat = loaded.matrix() if isinstance(loaded, exact.IntegerMps) else loaded
+    mat = np.asarray(mat, dtype=complex)
+    if core.is_hermitian(mat, args.tol) and not args.general:
+        param = decompose_hermitian_unitary(mat, args.tol)
+    else:
+        param = decompose_unitary(mat, args.tol)
+    _write_text(json.dumps(serialize.param_to_obj(param), indent=2), args.out)
+    return EXIT_OK
+
+
+def _cmd_param_decode(args) -> int:
     param = serialize.param_from_obj(json.loads(_read_text(args.file)))
     if isinstance(param, HermitianUnitaryParam):
         mat = build_hermitian_unitary(param)
@@ -258,37 +268,35 @@ def _cmd_param(args) -> int:
     return EXIT_OK
 
 
-def _cmd_designs(args) -> int:
-    if args.action == "make":
-        picked = [x for x in (args.hadamard, args.conference, args.fourier)
-                  if x is not None]
-        if len(picked) != 1:
-            return _fail("pass exactly one of --hadamard N, --conference N, --fourier N")
-        if args.hadamard is not None:
-            _emit_matrix(designs.sylvester_hadamard(args.hadamard), args)
-        elif args.conference is not None:
-            _emit_matrix(designs.paley_conference(args.conference), args)
-        else:
-            _emit_matrix(designs.fourier_complex_hadamard(args.fourier), args)
-        return EXIT_OK
-    if args.action == "verify":
-        obj = json.loads(_read_text(args.file))
-        try:
-            design = serialize.design_from_obj(obj)
-        except (serialize.FormatError, designs.DesignInvalidError) as exc:
-            _write_text(json.dumps({"valid": False, "error": str(exc)}), args.out)
-            return EXIT_NEGATIVE
-        _write_text(json.dumps({
-            "valid": True, "v": design.v, "k": design.k, "lambda": design.lam,
-            "degenerate": design.degenerate}), args.out)
-        return EXIT_OK
-    if args.action == "from-hadamard":
-        loaded = _load_matrix(args.file)
-        h = loaded.two_q // 2 if isinstance(loaded, exact.IntegerMps) else loaded
-        design = designs.hadamard_to_design(np.asarray(h))
-        _write_text(json.dumps(serialize.design_to_obj(design), indent=2), args.out)
-        return EXIT_OK
-    return _fail(f"unknown designs action {args.action!r}")
+def _cmd_designs_make(args) -> int:
+    if args.hadamard is not None:
+        _emit_matrix(designs.sylvester_hadamard(args.hadamard), args)
+    elif args.conference is not None:
+        _emit_matrix(designs.paley_conference(args.conference), args)
+    else:
+        _emit_matrix(designs.fourier_complex_hadamard(args.fourier), args)
+    return EXIT_OK
+
+
+def _cmd_designs_verify(args) -> int:
+    obj = json.loads(_read_text(args.file))
+    try:
+        design = serialize.design_from_obj(obj)
+    except (serialize.FormatError, designs.DesignInvalidError) as exc:
+        _write_text(json.dumps({"valid": False, "error": str(exc)}), args.out)
+        return EXIT_NEGATIVE
+    _write_text(json.dumps({
+        "valid": True, "v": design.v, "k": design.k, "lambda": design.lam,
+        "degenerate": design.degenerate}), args.out)
+    return EXIT_OK
+
+
+def _cmd_designs_from_hadamard(args) -> int:
+    loaded = _load_matrix(args.file)
+    h = loaded.two_q // 2 if isinstance(loaded, exact.IntegerMps) else loaded
+    design = designs.hadamard_to_design(np.asarray(h))
+    _write_text(json.dumps(serialize.design_to_obj(design), indent=2), args.out)
+    return EXIT_OK
 
 
 def _cmd_extract_design(args) -> int:
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one representative per equivalence class")
     p.add_argument("--max-results", type=int, default=None,
                    help="stop after this many hits per ratio")
-    p.add_argument("--budget", type=float, default=None, help="seconds")
+    p.add_argument("--budget", type=_finite_float, default=None, help="seconds")
     p.add_argument("--max-order", type=int, default=search.DEFAULT_SEARCH_MAX_ORDER)
     p.add_argument("--count-only", action="store_true",
                    help="report counts without serializing the matrices")
@@ -387,25 +395,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("param", help="encode/decode unitary parameters")
-    p.add_argument("action", choices=("encode", "decode"))
+    actions = sub.add_parser("param", help="encode/decode unitary parameters")
+    actions = actions.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("encode", help="parameters of a unitary matrix")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--general", action="store_true",
                    help="force the general-unitary parametrization")
     _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
-    p.set_defaults(func=_cmd_param)
-
-    p = sub.add_parser("designs", help="design and provider utilities")
-    p.add_argument("action", choices=("make", "verify", "from-hadamard"))
+    p.set_defaults(func=_cmd_param_encode)
+    p = actions.add_parser("decode", help="the unitary matrix of a parameter file")
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--hadamard", type=int, default=None)
-    p.add_argument("--conference", type=int, default=None)
-    p.add_argument("--fourier", type=int, default=None)
     _add_common(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_designs)
+    p.set_defaults(func=_cmd_param_decode)
+
+    actions = sub.add_parser("designs", help="design and provider utilities")
+    actions = actions.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("make", help="a Hadamard, conference or Fourier matrix")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--hadamard", type=int, default=None)
+    which.add_argument("--conference", type=int, default=None)
+    which.add_argument("--fourier", type=int, default=None)
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=_cmd_designs_make)
+    p = actions.add_parser("verify", help="check a design file")
+    p.add_argument("file", nargs="?", default=None)
+    _add_common(p)
+    p.set_defaults(func=_cmd_designs_verify)
+    p = actions.add_parser("from-hadamard", help="the design of a Hadamard matrix")
+    p.add_argument("file", nargs="?", default=None)
+    _add_common(p)
+    p.set_defaults(func=_cmd_designs_from_hadamard)
 
     p = sub.add_parser("extract-design", help="design behind a real matrix")
     p.add_argument("file", nargs="?", default=None)

@@ -32,6 +32,7 @@ its transform are the scan's exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,9 @@ _BLOCK_ROWS = 1 << 16
 #: Hits per int32 chunk of the final Gram check.
 _CHECK_CHUNK = 4096
 
+#: Largest order naive_search enumerates; its 2^(n(n+1)/2) patterns grow fast.
+_NAIVE_MAX_ORDER = 6
+
 
 class TooLargeError(ValueError):
     """Order or ratio exceeds what the exact enumeration supports."""
@@ -79,11 +83,13 @@ def _two_d(d: Fraction) -> Optional[int]:
 
 
 def candidate_ratios(n: int) -> list[Fraction]:
-    """The half-integer candidate grid {j/2 : 0 <= j <= n-2} for order n.
+    """The half-integer candidate grid {j/2 : 0 <= j <= n-2} for order n >= 2.
 
     Any real MPS matrix has d on this grid: d <= n/2 - 1 always, and below
     that bound d must be a non-negative integer.
     """
+    if n < 2:
+        raise ValueError("order must be at least 2")
     return [Fraction(j, 2) for j in range(0, n - 1)]
 
 
@@ -141,8 +147,6 @@ def _row_plans(n: int, two_d: int, mode: str) -> list[list[np.ndarray]]:
     if mode == "all":
         diag = (0,) if two_d == 0 else (two_d, -two_d)
         return [[_tails_for_row(n, r, diag, None) for r in range(n)]]
-    if mode != "up_to_equivalence":
-        raise ValueError(f"unknown mode {mode!r}")
     plans = []
     # d = 0 has no diagonal signs to split by: one layout, p = n (to_standard_form's).
     for p in (n,) if two_d == 0 else range((n + 1) // 2, n + 1):
@@ -178,26 +182,26 @@ def _children(block: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dfs(n: int, plan: list[np.ndarray], deadline: Optional[float],
+def _dfs(n: int, plans: list[list[np.ndarray]], deadline: float,
          max_results: Optional[int]) -> tuple[list[np.ndarray], bool]:
-    """Depth-first block search over one row plan."""
+    """Depth-first block search over all row plans, in plan order.
+
+    Returns the hit blocks and whether the search ran to its end: it stops
+    when the deadline passes, when ``max_results`` hits are taken, or when
+    the stack is empty.
+    """
     results: list[np.ndarray] = []
     found = 0
-    first = plan[0].astype(np.int8)[:, None, :]
-    stack = [(1, first)]
-    complete = True
+    stack = [(1, plan, plan[0].astype(np.int8)[:, None, :]) for plan in reversed(plans)]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            complete = False
-            break
-        r, block = stack.pop()
+        if time.monotonic() > deadline:
+            return results, False
+        r, plan, block = stack.pop()
         if r == n:
             if max_results is not None and found + block.shape[0] >= max_results:
                 take = max_results - found
                 results.append(block[:take])
-                found = max_results
-                complete = not stack and take == block.shape[0]
-                break
+                return results, not stack and take == block.shape[0]
             results.append(block)
             found += block.shape[0]
             continue
@@ -210,8 +214,8 @@ def _dfs(n: int, plan: list[np.ndarray], deadline: Optional[float],
                 pieces.append(child)
         for child in reversed(pieces):
             for lo in range(0, child.shape[0], _BLOCK_ROWS):
-                stack.append((r + 1, child[lo:lo + _BLOCK_ROWS]))
-    return results, complete
+                stack.append((r + 1, plan, child[lo:lo + _BLOCK_ROWS]))
+    return results, True
 
 
 def _sorted_stack(n: int, pieces: list[np.ndarray]) -> np.ndarray:
@@ -253,7 +257,7 @@ def exhaustive_search(
     per equivalence class.  Output is sorted in the fixed row-major encoding,
     so it is deterministic and independent of chunking.
 
-    ``max_results`` stops the enumeration after that many hits,
+    ``max_results`` (at least 1) stops the enumeration after that many hits,
     ``budget_seconds`` bounds the wall-clock time of the enumeration and of
     the canonicalization of its hits; both mark the result incomplete when
     they fire early.  In ``up_to_equivalence`` mode ``max_results`` caps the
@@ -261,6 +265,10 @@ def exhaustive_search(
     a budget that runs out between hits returns the classes found so far.
     """
     started = time.monotonic()
+    if mode not in ("all", "up_to_equivalence"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if max_results is not None and max_results < 1:
+        raise ValueError("max_results must be at least 1")
     if n < 2:
         raise ValueError("order must be at least 2")
     if n > max_order:
@@ -273,26 +281,13 @@ def exhaustive_search(
         return SearchResult(n=n, d=d, mode=mode,
                             two_q_stack=np.empty((0, n, n), dtype=np.int8),
                             complete=True, elapsed=time.monotonic() - started)
-    deadline = None if budget_seconds is None else started + budget_seconds
-    plans = _row_plans(n, two_d, mode)
-
-    pieces: list[np.ndarray] = []
-    complete = True
-    for plan in plans:
-        remaining = None if max_results is None else max_results - sum(
-            p.shape[0] for p in pieces)
-        if remaining is not None and remaining <= 0:
-            complete = False
-            break
-        res, complete = _dfs(n, plan, deadline, remaining)
-        pieces.extend(res)
-        if not complete:
-            break
+    deadline = math.inf if budget_seconds is None else started + budget_seconds
+    pieces, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, max_results)
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
         for q in (q for piece in pieces for q in piece):
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 complete = False
                 break
             cf, _ = canonical_transform(IntegerMps(d=d, two_q=q.astype(np.int64)))
@@ -305,15 +300,15 @@ def exhaustive_search(
                         complete=complete, elapsed=time.monotonic() - started)
 
 
-def naive_search(n: int, d, max_order: int = 6) -> list[IntegerMps]:
+def naive_search(n: int, d) -> list[IntegerMps]:
     """Oracle enumeration with no pruning: try all 2^(n(n+1)/2) sign patterns.
 
     Independent of the backtracking path (a single vectorized filter over the
     full assignment space); practical for n <= 6.  Output sorted in the same
     fixed encoding as exhaustive_search for bit-for-bit comparison.
     """
-    if n < 2 or n > max_order:
-        raise TooLargeError(f"naive enumeration supports 2 <= n <= {max_order}")
+    if n < 2 or n > _NAIVE_MAX_ORDER:
+        raise TooLargeError(f"naive enumeration supports 2 <= n <= {_NAIVE_MAX_ORDER}")
     two_d = _two_d(Fraction(d))
     if two_d is None:
         return []
@@ -449,20 +444,15 @@ def canonical_transform(m: IntegerMps) -> tuple[IntegerMps, Transform]:
     """
     n = m.n
     q = m.two_q
-    two_d = m.two_d
     diag = np.diagonal(q)
     best_code: Optional[list[int]] = None
     best: Optional[tuple[int, list[int], np.ndarray]] = None
     for g in (1, -1):
-        if two_d == 0:
-            # Zero diagonal: the global sign changes the matrix but not the
-            # leading diagonal code, so both branches must be searched.
-            rows = range(n)
-        else:
-            # The (0, 0) code of a candidate is minimal iff its diagonal
-            # entry is +d after the global sign, so other rows cannot win.
-            rows = [i for i in range(n) if g * diag[i] > 0]
-        for i1 in rows:
+        # The (0, 0) code of a candidate is minimal iff its diagonal entry is
+        # +d after the global sign, so other rows cannot win.  A zero diagonal
+        # keeps every row under both signs: the global sign changes the
+        # matrix but not the leading diagonal code.
+        for i1 in (i for i in range(n) if g * diag[i] >= 0):
             sigma = np.ones(n, dtype=np.int64)
             mask = np.arange(n) != i1
             sigma[mask] = np.sign(g * q[i1, mask])

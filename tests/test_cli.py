@@ -104,6 +104,16 @@ class TestConstructVerify:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_hadamard_core_rejects_an_aux_matrix_with_d(self, capsys, tmp_path):
+        # A real-exact document carrying d is an MPS matrix, not a Hadamard matrix.
+        fj = tmp_path / "FJ.json"
+        assert main(["construct", "--family", "full_j", "--n", "6", "--out", str(fj)]) == 0
+        code = main(["construct", "--family", "hadamard_core", "--n", "10",
+                     "--d", "1", "--aux", str(fj)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: bad input")
+
     def test_verify_fails_on_non_unitary(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -326,6 +336,55 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["designs", "verify", "{design}", "--hadamard", "8"],
+        ["designs", "from-hadamard", "{hadamard}", "--fourier", "3"],
+        ["param", "decode", "{param}", "--general"],
+        ["construct", "--family", "full_j", "--n", "6", "--alpha", "0.3"],
+        ["construct", "--family", "full_j", "--n", "6", "--aux", "{hadamard}"],
+        ["designs", "make"],
+    ])
+    def test_option_the_action_or_family_does_not_read_exit_64(self, capsys, tmp_path,
+                                                                argv):
+        files = {"{design}": tmp_path / "d.json", "{hadamard}": tmp_path / "h.json",
+                 "{param}": tmp_path / "p.json"}
+        files["{design}"].write_text(json.dumps({"v": 2, "k": 1, "lambda": 0,
+                                                 "incidence": [[1, 0], [0, 1]]}))
+        assert main(["designs", "make", "--hadamard", "4",
+                     "--out", str(files["{hadamard}"])]) == 0
+        matrix = tmp_path / "m.json"
+        assert main(["construct", "--family", "full_j", "--n", "4", "--out", str(matrix)]) == 0
+        assert main(["param", "encode", str(matrix), "--out", str(files["{param}"])]) == 0
+        argv = [str(files[a]) if a in files else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 64
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "1"],
+        ["search", "--n", "0"],
+        ["search", "--n", "-3"],
+        ["search", "--n", "1", "--d", "0"],
+        ["search", "--n", "4", "--max-results", "0"],
+        ["search", "--n", "4", "--max-results", "-1"],
+    ])
+    def test_search_bad_order_or_max_results_exit_1(self, capsys, tmp_path, argv):
+        out = tmp_path / "s.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_search_non_finite_budget_exit_64(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--n", "4", f"--budget={budget}"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

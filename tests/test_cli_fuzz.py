@@ -21,6 +21,7 @@ from mpsmat.parametrize import decompose_hermitian_unitary, decompose_unitary
 EXIT_CODES = {0, 1, 2, 64, 74}
 
 _FOURIER_4 = serialize.matrix_to_obj(designs.fourier_complex_hadamard(4))
+_FULL_J_6 = serialize.matrix_to_obj(exact.full_j_mps(6))
 _VALID_DOCS = [
     serialize.matrix_to_obj(exact.full_j_mps(4)),
     serialize.matrix_to_obj(exact.full_j_mps(9)),
@@ -159,6 +160,8 @@ _BIG_EXACT = {"n": 2, "kind": "real-exact", "d": "1e30",
 @example(argv=["construct", "--family", "n2", "--n", "2", "--d", "1e30"])
 @example(argv=["construct", "--family", "design_complex", "--n", "6", "--alpha", "nan"])
 @example(argv=["search", "--n", "4", "--d", "40000"])
+@example(argv=["construct", "--family", "conference_block", "--n", "12", "--d", "1",
+               "--aux", ("file", json.dumps(_FULL_J_6))])
 def test_cli_never_raises(tmp_path_factory, argv):
     code, out = _run(argv, tmp_path_factory.mktemp("fuzz"))
     assert code in EXIT_CODES

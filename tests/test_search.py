@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import subprocess
 import sys
 import textwrap
@@ -47,6 +48,11 @@ class TestCandidateRatios:
     def test_grid(self):
         assert candidate_ratios(5) == [Fraction(0), Fraction(1, 2), Fraction(1),
                                        Fraction(3, 2)]
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_order_below_two_rejected(self, n):
+        with pytest.raises(ValueError):
+            candidate_ratios(n)
 
 
 class TestExhaustiveSearch:
@@ -184,6 +190,59 @@ class TestHitOrder:
         assert np.array_equal(encode_matrix(nested), codes.reshape(2, -1, n * n))
 
 
+def _dfs_hits(n, d, mode, max_results):
+    """Raw hits of the one DFS over every row plan of the mode, in DFS order."""
+    pieces, complete = _dfs(n, _row_plans(n, int(2 * d), mode), math.inf, max_results)
+    return [q.tobytes() for piece in pieces for q in piece], complete
+
+
+class TestStopConditions:
+    @pytest.mark.parametrize("mode", ["all", "up_to_equivalence"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_max_results_truncates_the_same_hits(self, n, mode):
+        for d in candidate_ratios(n):
+            full, complete = _dfs_hits(n, d, mode, None)
+            assert complete
+            if mode == "up_to_equivalence":
+                # Plans run in order, so the layout p (the +d count) never falls.
+                diagonals = [np.frombuffer(q, np.int8)[::n + 1] for q in full]
+                layouts = [int(np.sum(diag > 0)) for diag in diagonals]
+                assert layouts == sorted(layouts)
+            for k in range(1, len(full) + 2):
+                hits, complete = _dfs_hits(n, d, mode, k)
+                assert len(hits) == min(k, len(full))
+                assert hits == full[:len(hits)]
+                if k < len(full):
+                    assert not complete
+                if k > len(full):
+                    assert complete
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_truncated_search_reports_a_subset(self, n):
+        for d in candidate_ratios(n):
+            for mode in ("all", "up_to_equivalence"):
+                full = exhaustive_search(n, d, mode=mode)
+                forms = {q.tobytes() for q in full.two_q_stack}
+                total = len(_dfs_hits(n, d, mode, None)[0])
+                for k in range(1, total + 2):
+                    res = exhaustive_search(n, d, mode=mode, max_results=k)
+                    assert {q.tobytes() for q in res.two_q_stack} <= forms
+                    if k != total:
+                        assert res.complete == (k > total)
+                    if mode == "all":
+                        assert res.count == min(k, total)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_max_results_below_one_rejected(self, k):
+        with pytest.raises(ValueError):
+            exhaustive_search(4, 1, max_results=k)
+
+    @pytest.mark.parametrize("d", [1, Fraction(1, 3)])
+    def test_unknown_mode_rejected_before_any_work(self, d):
+        with pytest.raises(ValueError):
+            exhaustive_search(4, d, mode="bogus")
+
+
 def test_check_stack_raises_under_python_O(subprocess_env):
     script = textwrap.dedent("""
         import numpy as np
@@ -293,12 +352,12 @@ def _assert_matches_scan(m):
 
 def _standard_form_hits(n, d):
     """Every raw standard-form hit of the search, before canonicalization."""
-    for plan in _row_plans(n, int(2 * d), "up_to_equivalence"):
-        pieces, complete = _dfs(n, plan, None, None)
-        assert complete
-        for piece in pieces:
-            for q in piece:
-                yield IntegerMps(d=d, two_q=q.astype(np.int64))
+    pieces, complete = _dfs(n, _row_plans(n, int(2 * d), "up_to_equivalence"),
+                            math.inf, None)
+    assert complete
+    for piece in pieces:
+        for q in piece:
+            yield IntegerMps(d=d, two_q=q.astype(np.int64))
 
 
 class TestCanonicalOracle:
