@@ -87,7 +87,7 @@ def _emit_matrix(matrix, args) -> None:
     if args.format == "csv":
         _write_text(serialize.matrix_to_csv(matrix), args.out)
     else:
-        _write_text(serialize.dumps_matrix(matrix, indent=2), args.out)
+        _write_text(serialize.dumps_matrix(matrix), args.out)
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -108,6 +108,13 @@ def _finite_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive tolerance")
     return value
 
 
@@ -360,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a matrix file")
     p.add_argument("file", nargs="?", default=None)
     _add_common(p)
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="existence verdict for (n, d)")
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--general", action="store_true",
                    help="force the general-unitary parametrization")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_param_encode)
     p = actions.add_parser("decode", help="the unitary matrix of a parameter file")
     p.add_argument("file", nargs="?", default=None)
@@ -444,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--edge", type=int, required=True, help="1-based edge index")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
     p.set_defaults(func=_cmd_scatter)
 
     return parser

@@ -62,6 +62,13 @@ def _as_int_matrix(matrix) -> np.ndarray:
     return b
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A A^T of an integer matrix, exactly in int64.  numpy's integer matmul has
+    no BLAS kernel, and einsum's sum-of-products loop is faster at these sizes."""
+    a = np.asarray(a, dtype=np.int64)
+    return np.einsum("ij,kj->ik", a, a)
+
+
 def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = False) -> bool:
     """Exact check that ``incidence`` is a symmetric (v, k, lam)-design matrix.
 
@@ -79,7 +86,7 @@ def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = 
     if not (v > k > lam >= lam_min):
         return False
     target = (k - lam) * np.eye(v, dtype=np.int64) + lam * np.ones((v, v), dtype=np.int64)
-    if not np.array_equal(a @ a.T, target):
+    if not np.array_equal(_gram(a), target):
         return False
     return bool(np.all(a.sum(axis=1) == k))
 
@@ -146,7 +153,7 @@ def verify_hadamard(matrix, tol: float = DEFAULT_TOL) -> bool:
             return False
         if not np.all(np.abs(b) == 1):
             return False
-        return bool(np.array_equal(b @ b.T, n * np.eye(n, dtype=np.int64)))
+        return bool(np.array_equal(_gram(b), n * np.eye(n, dtype=np.int64)))
     if np.max(np.abs(np.abs(a) - 1.0)) > tol:
         return False
     resid = a @ a.conj().T - n * np.eye(n)
@@ -169,7 +176,7 @@ def verify_conference(matrix, tol: float = DEFAULT_TOL) -> bool:
             return False
         if np.any(np.diagonal(b) != 0) or not np.all(np.abs(b[off]) == 1):
             return False
-        return bool(np.array_equal(b @ b.T, (n - 1) * np.eye(n, dtype=np.int64)))
+        return bool(np.array_equal(_gram(b), (n - 1) * np.eye(n, dtype=np.int64)))
     if np.max(np.abs(np.diagonal(a))) > tol:
         return False
     if np.max(np.abs(np.abs(a[off]) - 1.0)) > tol:

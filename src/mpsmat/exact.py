@@ -25,6 +25,7 @@ import numpy as np
 
 from .designs import (
     SymmetricDesign,
+    _gram,
     design_params_for,
     normalize_to_standard,
     verify_conference,
@@ -176,7 +177,7 @@ def validate(m: IntegerMps) -> None:
     if not np.all(np.abs(q[off]) == 2):
         raise ValueError("off-diagonal entries must be +-2")
     target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int64)
-    if not np.array_equal(q @ q.T, target):
+    if not np.array_equal(_gram(q), target):
         raise ValueError("orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails")
 
 

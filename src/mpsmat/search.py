@@ -258,9 +258,9 @@ def exhaustive_search(
     so it is deterministic and independent of chunking.
 
     ``max_results`` (at least 1) stops the enumeration after that many hits,
-    ``budget_seconds`` bounds the wall-clock time of the enumeration and of
-    the canonicalization of its hits; both mark the result incomplete when
-    they fire early.  In ``up_to_equivalence`` mode ``max_results`` caps the
+    ``budget_seconds`` (not NaN) bounds the wall-clock time of the enumeration
+    and of the canonicalization of its hits; both mark the result incomplete
+    when they fire early.  In ``up_to_equivalence`` mode ``max_results`` caps the
     standard-form hits explored, so at most that many classes come back, and
     a budget that runs out between hits returns the classes found so far.
     """
@@ -269,6 +269,8 @@ def exhaustive_search(
         raise ValueError(f"unknown mode {mode!r}")
     if max_results is not None and max_results < 1:
         raise ValueError("max_results must be at least 1")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number, not NaN")
     if n < 2:
         raise ValueError("order must be at least 2")
     if n > max_order:

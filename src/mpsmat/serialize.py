@@ -10,6 +10,8 @@ For the real-exact kind, ``q_entries`` is the scaled matrix
 Q = sqrt(d^2 + n - 1) * S with rational entries; parsing and serializing it
 round-trips bit for bit.  Hadamard/conference matrices share the real-exact
 kind with the ``d`` field absent (a plain exact integer matrix).
+``dumps_matrix`` writes a matrix document in one layout only: the text of
+``json.dumps(matrix_to_obj(matrix), indent=2)``, produced without the encoder.
 
 Parameter JSON: {"n": N, "m": M, "T": [[[re, im], ...]] or null,
 "S_h": [[[re, im], ...]] or null, "P": [one-based images]}; ``S_h`` null
@@ -24,7 +26,9 @@ must be JSON integers: booleans, floats and strings are malformed.
 from __future__ import annotations
 
 import json
+import numbers
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -49,6 +53,8 @@ __all__ = [
 ]
 
 MatrixLike = Union[np.ndarray, IntegerMps]
+
+_NOT_PAIRS = "complex cells must be [re, im] pairs of numbers"
 
 
 class FormatError(ValueError):
@@ -131,22 +137,84 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
         raise FormatError("real-exact documents need a q_entries field")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise FormatError("q_entries must be a list of rows")
-    fracs = [[_parse_frac(x) for x in row] for row in rows]
-    if len(fracs) != n or any(len(r) != n for r in fracs):
+    cells = list(chain.from_iterable(rows))
+    texts = list(map(str, cells))
+    fracs: dict[str, Fraction] = {}
+    for s, cell in zip(texts, cells):  # each distinct text parsed once, in order
+        if s not in fracs:
+            fracs[s] = _parse_frac(cell)
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise FormatError(f"q_entries must be {n} x {n}")
     scale = 2 if "d" in obj else 1
-    if any((scale * f).denominator != 1 for row in fracs for f in row):
+    if any((scale * f).denominator != 1 for f in fracs.values()):
         raise FormatError("exact entries must have denominator 1 or 2" if scale == 2
                           else "plain exact matrices must have integer entries")
+    ints = {s: int(scale * f) for s, f in fracs.items()}
     try:
-        out = np.array([[int(scale * f) for f in row] for row in fracs], dtype=np.int64)
+        out = np.array([ints[s] for s in texts], dtype=np.int64).reshape(n, n)
     except OverflowError as exc:
         raise FormatError("exact entries must fit in 64-bit integers") from exc
     return IntegerMps(d=_parse_frac(obj["d"]), two_q=out) if scale == 2 else out
 
 
-def dumps_matrix(matrix: MatrixLike, indent: int | None = None) -> str:
-    return json.dumps(matrix_to_obj(matrix), indent=indent)
+def dumps_matrix(matrix: MatrixLike) -> str:
+    """The matrix document, byte for byte ``json.dumps(matrix_to_obj(matrix),
+    indent=2)``, written directly: exact rows through the row formatter of the
+    search document, complex parts with ``float.__repr__`` (``json.dumps`` when
+    a part is not finite)."""
+    if isinstance(matrix, IntegerMps):
+        d = json.dumps(_frac_str(matrix.d))
+        head = f'{{\n  "n": {matrix.n},\n  "kind": "real-exact",\n  "d": {d},\n  "q_entries": '
+        body = _exact_rows(matrix.two_q, 2, 4)(matrix.two_q)
+    else:
+        a = np.asarray(matrix)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise FormatError("matrix must be square")
+        if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
+            head = f'{{\n  "n": {len(a)},\n  "kind": "real-exact",\n  "q_entries": '
+            body = _exact_rows(a, 1, 4)(a)
+        else:
+            head = f'{{\n  "n": {len(a)},\n  "kind": "complex",\n  "entries": '
+            body = _complex_rows(np.ascontiguousarray(a, dtype=complex))
+    return head + (f"[\n{body}\n  ]" if body else "[]") + "\n}"
+
+
+def _exact_rows(values: np.ndarray, denominator: int, indent: int):
+    """The row formatter for matrices of the integer array ``values``: it takes
+    one matrix and returns the JSON lists of its rows, joined by ",\\n", each
+    an indented list of the "num/den" strings of value/denominator.  Every
+    distinct cell and row is formatted once."""
+    pad = " " * indent
+    cells = {v: f"{pad}  " + json.dumps(_frac_str(Fraction(v, denominator)))
+             for v in np.unique(values).tolist()}
+    seen: dict[bytes, str] = {}
+
+    def rows_text(q: np.ndarray) -> str:
+        parts = []
+        for row in q:
+            key = row.tobytes()
+            text = seen.get(key)
+            if text is None:
+                text = seen[key] = (f"{pad}[\n" + ",\n".join(map(cells.__getitem__, row.tolist()))
+                                    + f"\n{pad}]")
+            parts.append(text)
+        return ",\n".join(parts)
+
+    return rows_text
+
+
+def _complex_rows(c: np.ndarray) -> str:
+    """The JSON lists of the rows of the C-ordered complex128 array ``c``, at
+    indent 4, joined by ",\\n".  Every distinct cell, told apart by the bits of
+    its two parts (so -0.0 is not 0.0), is formatted once."""
+    parts = c.view(float).reshape(-1, 2)
+    num = float.__repr__ if np.isfinite(parts).all() else json.dumps
+    _, first, inverse = np.unique(c.view(np.dtype((np.void, 16))).ravel(),
+                                  return_index=True, return_inverse=True)
+    cells = ["      [\n        {},\n        {}\n      ]".format(*map(num, parts[i].tolist()))
+             for i in first.tolist()]
+    return ",\n".join("    [\n" + ",\n".join(map(cells.__getitem__, row)) + "\n    ]"
+                      for row in inverse.reshape(c.shape).tolist())
 
 
 def write_search_document(fh, n: int, mode: str, results, with_matrices: bool) -> None:
@@ -177,23 +245,11 @@ def _write_matrices(fh, n: int, d_json: str, stack: np.ndarray) -> None:
     if not len(stack):
         fh.write("]")
         return
-    cells = {int(v): " " * 14 + json.dumps(_frac_str(Fraction(int(v), 2)))
-             for v in np.unique(stack)}
     head = (f'        {{\n          "n": {n},\n          "kind": "real-exact",\n'
             f'          "d": {d_json},\n          "q_entries": [\n')
-    rows: dict[bytes, str] = {}
+    rows_text = _exact_rows(stack, 2, 12)
     for k, q in enumerate(stack):
-        parts = []
-        for row in q:
-            key = row.tobytes()
-            text = rows.get(key)
-            if text is None:
-                text = rows[key] = ("            [\n"
-                                    + ",\n".join(cells[v] for v in row.tolist())
-                                    + "\n            ]")
-            parts.append(text)
-        fh.write((",\n" if k else "\n") + head + ",\n".join(parts)
-                 + "\n          ]\n        }")
+        fh.write((",\n" if k else "\n") + head + rows_text(q) + "\n          ]\n        }")
     fh.write("\n      ]")
 
 
@@ -233,21 +289,28 @@ def _complex_rows_to_obj(a: np.ndarray) -> list:
 
 
 def _complex_array(rows) -> np.ndarray:
-    """Rows of [re, im] cells as a complex array; FormatError for anything else."""
+    """Rows of [re, im] cells as a complex array; FormatError for anything else.
+
+    One scan checks that every cell holds two numbers (booleans are not
+    numbers); one float conversion of all rows, viewed as complex, does the rest.
+    """
     try:
-        cells = [[_complex_cell(*cell) for cell in row] for row in rows]
-    except (TypeError, OverflowError) as exc:
-        raise FormatError("complex cells must be [re, im] pairs of numbers") from exc
+        cells = list(chain.from_iterable(rows))
+        sizes = set(map(len, cells))
+        kinds = set(map(type, chain.from_iterable(cells)))
+    except TypeError as exc:
+        raise FormatError(_NOT_PAIRS) from exc
+    if not sizes <= {2} or not all(issubclass(k, numbers.Real) and k is not bool
+                                   for k in kinds):
+        raise FormatError(_NOT_PAIRS)
     try:
-        return np.array(cells, dtype=complex)
+        a = np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise FormatError(_NOT_PAIRS) from exc
     except ValueError as exc:
         raise FormatError("complex rows must all have the same length") from exc
-
-
-def _complex_cell(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise TypeError("booleans are not numbers")
-    return complex(re, im)
+    # Without cells there is no [re, im] axis: the shape stays (0,) or (rows, 0).
+    return a.view(complex)[..., 0] if a.ndim == 3 else a.astype(complex)
 
 
 def _complex_rows_from_obj(rows, shape) -> np.ndarray:

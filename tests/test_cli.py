@@ -386,6 +386,22 @@ class TestUsageErrors:
         assert exc.value.code == 64
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("command", [["verify", "{file}"], ["param", "encode", "{file}"],
+                                         ["scatter", "{file}", "--edge", "1"]])
+    def test_tolerance_not_positive_finite_exit_64(self, capsys, tmp_path, command, tol):
+        # Under --tol inf the non-unitary diag(5, 7) would pass as Hermitian and unitary.
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"n": 2, "kind": "real-exact",
+                                    "q_entries": [["5/1", "0/1"], ["0/1", "7/1"]]}))
+        argv = [str(path) if a == "{file}" else a for a in command]
+        assert main([*argv, "--tol=1e-9"]) == 1  # the file itself is read and rejected
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        assert exc.value.code == 64
+        assert capsys.readouterr().out == ""
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -453,6 +469,14 @@ _BAD_CELL_DOCS = [
     (["param", "decode"], {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [True, 2]}),
     (["param", "decode"], {"n": 2.7, "m": 1.2, "T": [[[1, 0]]], "S_h": None, "P": [1, 2]}),
     (["param", "decode"], {"n": "2", "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [1, 2]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": []}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[1]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[["1.5", 0]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[1, True]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[10**400, 0]]]}),
+    (["verify"], {"n": 1, "kind": "complex", "entries": [[[[1, 0], [0, 0]]]]}),
+    (["verify"], {"n": 2, "kind": "real-exact", "q_entries": [[10**400, 1], [1, 1]]}),
 ]
 
 

@@ -162,6 +162,8 @@ _BIG_EXACT = {"n": 2, "kind": "real-exact", "d": "1e30",
 @example(argv=["search", "--n", "4", "--d", "40000"])
 @example(argv=["construct", "--family", "conference_block", "--n", "12", "--d", "1",
                "--aux", ("file", json.dumps(_FULL_J_6))])
+@example(argv=["verify", ("file", '{"n": 1, "kind": "complex", "entries": []}')])
+@example(argv=["verify", ("file", '{"n": 1, "kind": "complex", "entries": [[]]}')])
 def test_cli_never_raises(tmp_path_factory, argv):
     code, out = _run(argv, tmp_path_factory.mktemp("fuzz"))
     assert code in EXIT_CODES

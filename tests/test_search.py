@@ -88,6 +88,12 @@ class TestExhaustiveSearch:
         res = exhaustive_search(8, 1, budget_seconds=0.0)
         assert not res.complete
 
+    @pytest.mark.parametrize("mode", ["all", "up_to_equivalence"])
+    def test_nan_budget_rejected(self, mode):
+        # time.monotonic() > started + nan is never true, so NaN would mean no budget.
+        with pytest.raises(ValueError, match="NaN"):
+            exhaustive_search(6, 2, mode=mode, budget_seconds=float("nan"))
+
     def test_budget_covers_canonicalization(self, monkeypatch):
         # The clock stands still through the DFS and runs out during the
         # first canonicalization, so the loop must stop before the second.

@@ -1,11 +1,30 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpsmat.designs import identity_design, paley_conference, sylvester_hadamard
-from mpsmat.exact import IntegerMps, Transform, full_j_mps
-from mpsmat.families import complex_core_matrix
+from mpsmat.designs import (
+    _gram,
+    hadamard_to_design,
+    identity_design,
+    paley_conference,
+    sylvester_hadamard,
+    verify_conference,
+    verify_design,
+    verify_hadamard,
+)
+from mpsmat.exact import (
+    IntegerMps,
+    Transform,
+    design_mps,
+    full_j_mps,
+    two_by_two_mps,
+    validate,
+)
+from mpsmat.families import FAMILIES, complex_core_matrix
 from mpsmat.parametrize import (
     HermitianUnitaryParam,
     UnitaryParam,
@@ -181,3 +200,276 @@ def test_transform_obj():
     t = Transform(perm=(1, 0, 2), signs=(1, -1, 1), global_sign=-1)
     obj = transform_to_obj(t)
     assert obj == {"P": [2, 1, 3], "signs": [1, -1, 1], "global": -1}
+
+
+# --- The direct writer and the bulk reader against the json.dumps path --------
+
+def _points(lo: float, hi: float, count: int = 12) -> list[float]:
+    if hi <= lo:
+        return [lo]
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+def _criterion_1_grid() -> list[tuple[str, int, float]]:
+    """(family, n, d) of the acceptance criterion-1 grid where ``construct``
+    builds the member from its default provider."""
+    items = [("full_j", n, n / 2 - 1) for n in range(4, 31, 2)]
+    items += [("n2", 2, d) for d in _points(0.0, 5.0)]
+    for n in range(4, 31, 2):
+        items += [("upper_interval", n, d) for d in _points(max(0.0, n / 2 - 3), n / 2 - 1)]
+    for n in (6, 14, 30):
+        items += [("hadamard_core", n, d) for d in _points(n / 4 - 1.5, n / 2 - 1)]
+    for n in (10, 26):
+        items += [("conference_core", n, d)
+                  for d in _points(n / 4 - 1.5 - 1 / (n - 2), n / 2 - 1)]
+    items += [("complex_core", n, n / 4 - 1.5) for n in range(6, 31, 2)]
+    for n in (12, 28):
+        items += [("conference_block", n, d) for d in _points(0.0, 1.0)]
+    for n, k_minus_lam in ((14, 2), (30, 4), (10, 1)):
+        items += [("design_complex", n, d)
+                  for d in _points(n / 2 - 1 - 2 * k_minus_lam, n / 2 - 1)]
+    items += [("design_real", n, float(d)) for n, d in ((14, 2), (30, 6), (10, 2), (8, 1), (6, 0))]
+    return items
+
+
+def _member(name: str, n: int, d: float):
+    """The member ``construct --family name --n n --d repr(d)`` writes."""
+    family = FAMILIES[name]
+    ratio = family.ratio(n) if family.ratio is not None else Fraction(repr(d))
+    member = family.exact(n, ratio)
+    if member is None:
+        member = family.float(n, ratio, family.provider(n, ratio), None)
+    return member
+
+
+def _grid_members() -> list:
+    return [_member(*item) for item in _criterion_1_grid()]
+
+
+def _other_matrices() -> list:
+    rng = np.random.default_rng(11)
+    parts = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25])
+    odd = rng.choice(parts, size=(6, 6, 2))
+    return [
+        sylvester_hadamard(1), sylvester_hadamard(2), sylvester_hadamard(16),
+        paley_conference(6), paley_conference(14), paley_conference(18),
+        design_mps(identity_design(5), 10, 2),
+        design_mps(hadamard_to_design(sylvester_hadamard(8)), 14, 2),
+        design_mps(hadamard_to_design(sylvester_hadamard(16)), 30, 6),
+        full_j_mps(9), two_by_two_mps(Fraction(7, 2)),
+        np.array([[3]], dtype=np.int64), np.zeros((0, 0), dtype=np.int64),
+        rng.integers(-10**18, 10**18, size=(5, 5)), rng.integers(-9, 9, size=(4, 4)).astype(np.int8),
+        odd.view(complex)[..., 0], np.array([[np.nan, -np.inf], [np.inf, -0.0]]),
+        np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)], [0j, complex(-0.0, 0.0)]]),
+        rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)),
+        np.asfortranarray(rng.normal(size=(5, 5))), rng.normal(size=(4, 4)).astype(np.float32),
+        np.zeros((0, 0)), np.eye(3, dtype=bool),
+    ]
+
+
+def test_grid_has_the_sweep_points():
+    members = _grid_members()
+    assert len(members) == 332
+    assert sum(isinstance(m, IntegerMps) for m in members) == 50
+
+
+@pytest.mark.parametrize("group", ["grid", "other"])
+def test_dumps_matrix_equals_json_dumps(group):
+    matrices = _grid_members() if group == "grid" else _other_matrices()
+    for m in matrices:
+        assert dumps_matrix(m) == json.dumps(matrix_to_obj(m), indent=2)
+
+
+def _oracle_parse_frac(s) -> Fraction:
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {s!r}") from exc
+
+
+def _oracle_complex_cell(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("booleans are not numbers")
+    return complex(re, im)
+
+
+def _oracle_matrix_from_obj(obj):
+    """The cell-by-cell parser that the bulk one replaced."""
+    if not isinstance(obj, dict):
+        raise FormatError("matrix document must be a JSON object")
+    kind = obj.get("kind")
+    if kind not in ("complex", "real-exact"):
+        raise FormatError(f"unknown matrix kind {kind!r}")
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise FormatError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise FormatError("field n must be a positive integer")
+    if kind == "complex":
+        if "q_entries" in obj or "d" in obj:
+            raise FormatError("complex documents must not carry exact fields")
+        entries = obj.get("entries")
+        if entries is None:
+            raise FormatError("complex documents need an entries field")
+        try:
+            cells = [[_oracle_complex_cell(*cell) for cell in row] for row in entries]
+        except (TypeError, OverflowError) as exc:
+            raise FormatError("complex cells must be [re, im] pairs of numbers") from exc
+        try:
+            a = np.array(cells, dtype=complex)
+        except ValueError as exc:
+            raise FormatError("complex rows must all have the same length") from exc
+        if a.shape != (n, n):
+            raise FormatError(f"entries must be {n} x {n}")
+        return a
+    if "entries" in obj:
+        raise FormatError("real-exact documents must not carry complex entries")
+    rows = obj.get("q_entries")
+    if rows is None:
+        raise FormatError("real-exact documents need a q_entries field")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError("q_entries must be a list of rows")
+    fracs = [[_oracle_parse_frac(x) for x in row] for row in rows]
+    if len(fracs) != n or any(len(r) != n for r in fracs):
+        raise FormatError(f"q_entries must be {n} x {n}")
+    scale = 2 if "d" in obj else 1
+    if any((scale * f).denominator != 1 for row in fracs for f in row):
+        raise FormatError("exact entries must have denominator 1 or 2" if scale == 2
+                          else "plain exact matrices must have integer entries")
+    try:
+        out = np.array([[int(scale * f) for f in row] for row in fracs], dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError("exact entries must fit in 64-bit integers") from exc
+    return IntegerMps(d=_oracle_parse_frac(obj["d"]), two_q=out) if scale == 2 else out
+
+
+def _parse_outcome(parse, obj):
+    """What ``parse`` makes of ``obj``: the exception's type and text, or the
+    value's type, dtype, shape and bytes (so -0.0 and NaN compare exactly)."""
+    try:
+        value = parse(obj)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, IntegerMps):
+        return "IntegerMps", value.d, value.two_q.dtype, value.two_q.tobytes()
+    return "ndarray", value.dtype, value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize("group", ["grid", "other"])
+def test_reader_equals_the_cell_by_cell_oracle(group):
+    matrices = _grid_members() if group == "grid" else _other_matrices()
+    for m in matrices:
+        obj = json.loads(dumps_matrix(m))
+        if obj["n"] == 0:
+            continue  # n = 0 is rejected by both; covered below
+        outcome = _parse_outcome(matrix_from_obj, obj)
+        assert outcome == _parse_outcome(_oracle_matrix_from_obj, obj)
+        assert outcome[0] in ("IntegerMps", "ndarray")
+
+
+_MALFORMED = [
+    {"n": 1, "kind": "complex", "entries": []},
+    {"n": 1, "kind": "complex", "entries": [[]]},
+    {"n": 1, "kind": "complex", "entries": [[[1]]]},
+    {"n": 1, "kind": "complex", "entries": [[[1, 0, 0]]]},
+    {"n": 1, "kind": "complex", "entries": [[["1.5", 0]]]},
+    {"n": 1, "kind": "complex", "entries": [[[1, True]]]},
+    {"n": 1, "kind": "complex", "entries": [[[None, 0]]]},
+    {"n": 1, "kind": "complex", "entries": [[[10**400, 0]]]},
+    {"n": 1, "kind": "complex", "entries": [[[[1, 0], [0, 0]]]]},
+    {"n": 1, "kind": "complex", "entries": [[{"a": 1, "b": 2}]]},
+    {"n": 1, "kind": "complex", "entries": [["12"]]},
+    {"n": 1, "kind": "complex", "entries": ["1"]},
+    {"n": 1, "kind": "complex", "entries": 5},
+    {"n": 1, "kind": "complex", "entries": {"ab": 1}},
+    {"n": 2, "kind": "complex", "entries": [[[1, 0]], [[1, 0], [0, 0]]]},
+    {"n": 2, "kind": "complex", "entries": [[[1, 0], [0, 0]], 7]},
+    {"n": 0, "kind": "complex", "entries": []},
+    {"n": 2, "kind": "real-exact", "q_entries": [[10**400, 1], [1, 1]]},
+    {"n": 2, "kind": "real-exact", "q_entries": [["x", "1/0"], ["1", "1"]]},
+    {"n": 2, "kind": "real-exact", "q_entries": [["1", "1"], ["1"]]},
+    {"n": 2, "kind": "real-exact", "q_entries": [["1/2", "1"], ["1", "1"]]},
+    {"n": 2, "kind": "real-exact", "d": "1", "q_entries": [["1/4", "1"], ["1", "1"]]},
+    {"n": 2, "kind": "real-exact", "d": "1", "q_entries": [[True, "1"], ["1", "1"]]},
+    {"n": 2, "kind": "real-exact", "d": "1", "q_entries": [["1", "1"], ["1", "1"]]},
+    {"n": 2, "kind": "real-exact", "d": "1e30", "q_entries": [["1e30", "1"], ["1", "-1e30"]]},
+    {"n": 2, "kind": "real-exact", "d": "x", "q_entries": [["1", "1"], ["1", "-1"]]},
+    {"n": 1, "kind": "real-exact", "q_entries": [[[1]]]},
+    {"n": 1, "kind": "real-exact", "q_entries": [1]},
+    {"n": 1, "kind": "real-exact", "q_entries": []},
+]
+
+
+@pytest.mark.parametrize("obj", _MALFORMED)
+def test_reader_rejects_as_the_oracle_does(obj):
+    outcome = _parse_outcome(matrix_from_obj, obj)
+    assert outcome == _parse_outcome(_oracle_matrix_from_obj, obj)
+    assert outcome[0] in ("FormatError", "ValueError")
+
+
+_CELLS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+          | st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from(["1", "1/2", "-3/2", "1.5", "1e30", "x", "1/0", ""])
+          | st.lists(st.integers(-3, 3) | st.floats(-3, 3), max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=st.sampled_from([full_j_mps(4), full_j_mps(5), sylvester_hadamard(2),
+                             complex_core_matrix(6), np.array([[0.5 - 0.5j]])]),
+       data=st.data())
+def test_reader_matches_the_oracle_on_mutated_cells(base, data):
+    obj = json.loads(dumps_matrix(base))
+    rows = obj["q_entries" if "q_entries" in obj else "entries"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = data.draw(_CELLS)
+    assert _parse_outcome(matrix_from_obj, obj) == _parse_outcome(_oracle_matrix_from_obj, obj)
+
+
+# --- The exact Gram kernel ----------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
+def test_gram_equals_matmul(n):
+    rng = np.random.default_rng(n)
+    signs = rng.choice([-1, 1], size=(n, n))
+    two_q = 2 * signs
+    np.fill_diagonal(two_q, rng.choice([-2, 2], size=n) * rng.integers(0, 40))
+    for a in (signs, two_q, signs.astype(np.int8), rng.choice([0, 1], size=(n, n))):
+        g = _gram(a)
+        assert g.dtype == np.int64
+        assert np.array_equal(g, a.astype(np.int64) @ a.astype(np.int64).T)
+
+
+def test_gram_is_exact_near_the_int64_limit():
+    # Entries of 2 * 10^9: each product is 4e18, beyond float64's exact integers.
+    a = np.array([[2 * 10**9, 2], [2, -2 * 10**9 + 1]], dtype=np.int64)
+    exact = [[sum(int(x) * int(y) for x, y in zip(r, s)) for s in a] for r in a]
+    assert _gram(a).tolist() == exact
+
+
+def _flip(a: np.ndarray, i: int, j: int, symmetric: bool = False) -> np.ndarray:
+    b = np.array(a, dtype=np.int64)
+    b[i, j] = -b[i, j]
+    if symmetric:
+        b[j, i] = -b[j, i]
+    return b
+
+
+def test_one_flipped_sign_fails_every_exact_gram_check():
+    h = sylvester_hadamard(16)
+    assert verify_hadamard(h) and not verify_hadamard(_flip(h, 3, 5))
+    c = paley_conference(18)
+    assert verify_conference(c) and not verify_conference(_flip(c, 3, 5))
+    q = design_mps(hadamard_to_design(sylvester_hadamard(16)), 30, 6).two_q
+    validate(IntegerMps(d=6, two_q=q))
+    # Symmetric, with the right diagonal and off-diagonal moduli: only the Gram
+    # identity can fail.
+    with pytest.raises(ValueError, match="orthogonality"):
+        IntegerMps(d=6, two_q=_flip(q, 3, 5, symmetric=True))
+    design = hadamard_to_design(sylvester_hadamard(8))
+    a = design.incidence
+    assert verify_design(a, 7, 3, 1)
+    b = np.array(a)
+    b[0, np.flatnonzero(a[0])[0]], b[0, np.flatnonzero(a[0] == 0)[0]] = 0, 1  # same row sum
+    assert not verify_design(b, 7, 3, 1)
