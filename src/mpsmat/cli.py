@@ -190,7 +190,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if passed else EXIT_NEGATIVE
 
 
-def _verdict_obj(v: _classify.Verdict) -> dict:
+def _verdict_text(v: _classify.Verdict) -> str:
+    """The verdict document as ``json.dumps(..., indent=2)`` lays it out; the
+    witness, its last key, is written by ``dumps_matrix`` one level deeper."""
     obj = {
         "n": v.n,
         "d": f"{v.d.numerator}/{v.d.denominator}",
@@ -199,13 +201,14 @@ def _verdict_obj(v: _classify.Verdict) -> dict:
     }
     if v.detail:
         obj["detail"] = v.detail
-    obj["witness"] = serialize.matrix_to_obj(v.witness) if v.witness else None
-    return obj
+    # A matrix document holds no raw newline, so each "\n" starts a line.
+    witness = serialize.dumps_matrix(v.witness).replace("\n", "\n  ") if v.witness else "null"
+    return json.dumps(obj, indent=2)[:-2] + f',\n  "witness": {witness}\n}}'
 
 
 def _cmd_classify(args) -> int:
     verdict = _classify.necessary_conditions(args.n, args.d)
-    _write_text(json.dumps(_verdict_obj(verdict), indent=2), args.out)
+    _write_text(_verdict_text(verdict), args.out)
     if verdict.status == _classify.EXISTS:
         return EXIT_OK
     if verdict.status == _classify.IMPOSSIBLE_STATUS:
@@ -382,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true",
                    help="one representative per equivalence class")
     p.add_argument("--max-results", type=int, default=None,
-                   help="stop after this many hits per ratio")
+                   help="stop after this many hits per ratio; without --canonical, "
+                        "the first hits of the complete output")
     p.add_argument("--budget", type=_finite_float, default=None, help="seconds")
     p.add_argument("--max-order", type=int, default=search.DEFAULT_SEARCH_MAX_ORDER)
     p.add_argument("--count-only", action="store_true",

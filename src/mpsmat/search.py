@@ -3,8 +3,14 @@
 The search enumerates symmetric sign assignments row by row on the doubled
 integer matrix 2Q (diagonal +-2d, off-diagonal +-2), pruning every partial
 assignment whose latest completed row fails the exact inner-product condition
-against any earlier row.  Candidate rows are generated in vectorized blocks,
-so the hot loop is a handful of integer matrix products per search level.
+against any earlier row.  A placed row is one integer of sign bits (column c
+at bit n-1-c, a set bit for a negative entry).  Every entry has modulus 2 or
+2d, so two rows are orthogonal iff their signs disagree in a set number of
+columns: the candidates for the next row are the AND of one precomputed
+Hamming sphere per placed row, taken over blocks of states.  Candidates come
+out in ascending code order and blocks are explored in order, so the hits
+leave the search already in output order; they are decoded to the int8 2Q
+stack once and every hit is checked exactly.
 
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
@@ -32,6 +38,7 @@ its transform are the scan's exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -59,8 +66,31 @@ DEFAULT_SEARCH_MAX_ORDER = 8
 #: Largest 2d the int8 hit stacks hold.
 _MAX_TWO_D = np.iinfo(np.int8).max
 
-#: Cap on the number of rows held in one vectorized search block.
-_BLOCK_ROWS = 1 << 16
+#: Cap on states x candidate rows in one call of the expansion kernel, and so
+#: on the children of one call (unless one state alone has more candidates).
+_BLOCK = 1 << 16
+
+#: Tail bits covered by one uint64 sphere word (2**6 = 64 tails).
+_WORD_BITS = 6
+
+#: Empty sphere columns on each side of the radii 0..width.  A tail split
+#: over several words shifts a radius in [-1, w + 1] down by up to w - 6, so
+#: the columns stay in range for n <= 64.
+_PAD = 64
+
+_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _popcount_table() -> np.ndarray:
+    """Set bits of every 16-bit value, by doubling: the values with top bit
+    set have one more than those without."""
+    table = np.zeros(1, dtype=np.uint8)
+    for _ in range(16):
+        table = np.concatenate([table, table + 1])
+    return table
+
+
+_POPCOUNT16 = _popcount_table()
 
 #: Hits per int32 chunk of the final Gram check.
 _CHECK_CHUNK = 4096
@@ -117,127 +147,225 @@ class SearchResult:
         return [IntegerMps(d=self.d, two_q=q) for q in self.two_q_stack]
 
 
-def _tails_for_row(n: int, row: int, diag_choices: tuple[int, ...],
-                   fixed_tail: Optional[np.ndarray]) -> np.ndarray:
-    """All candidate (diagonal, trailing signs) tuples for one row, int16.
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits of each non-negative integer below 2**bits, by table lookup."""
+    total = _POPCOUNT16[x & 0xFFFF].astype(np.int64)
+    for shift in range(16, bits, 16):
+        total += _POPCOUNT16[(x >> shift) & 0xFFFF]
+    return total
 
-    ``fixed_tail`` pins individual trailing entries to +-2 (0 = free).
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis (at most 64 flags, entry k to bit k) into uint64 words."""
+    k = np.arange(bits.shape[-1], dtype=np.uint64)
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << k, axis=-1)
+
+
+def _spheres(width: int) -> np.ndarray:
+    """Hamming spheres in a ``width``-bit universe (width <= 6), one word each.
+
+    Flat: entry ``(c << width) + a`` has bit t set iff t and a differ in
+    exactly c - _PAD bits; the columns c outside [_PAD, _PAD + width] are
+    empty, for radii no tail can meet.
     """
-    width = n - row
-    tail_len = width - 1
-    if fixed_tail is None:
-        fixed_tail = np.zeros(tail_len, dtype=np.int16)
-    free_idx = np.flatnonzero(fixed_tail == 0)
-    f = len(free_idx)
-    combos = 1 << f
-    tails = np.empty((combos, tail_len), dtype=np.int16)
-    tails[:] = fixed_tail
-    if f:
-        bits = (np.arange(combos, dtype=np.int64)[:, None] >> np.arange(f)[None, :]) & 1
-        tails[:, free_idx] = np.where(bits == 0, 2, -2).astype(np.int16)
-    out = np.empty((combos * len(diag_choices), width), dtype=np.int16)
-    for i, dv in enumerate(diag_choices):
-        out[i * combos:(i + 1) * combos, 0] = dv
-        out[i * combos:(i + 1) * combos, 1:] = tails
-    return out
+    t = np.arange(1 << width)
+    dist = _POPCOUNT16[t[:, None] ^ t[None, :]]
+    out = np.zeros((2 * _PAD + width + 1, 1 << width), dtype=np.uint64)
+    out[_PAD:_PAD + width + 1] = _pack(dist[None, :, :] == np.arange(width + 1)[:, None, None])
+    return out.ravel()
 
 
-def _row_plans(n: int, two_d: int, mode: str) -> list[list[np.ndarray]]:
-    """Candidate-tail tables per row, one plan per explored diagonal layout."""
+_SPHERES = [_spheres(width) for width in range(_WORD_BITS + 1)]
+
+
+@dataclass(eq=False)
+class _Row:
+    """What the expansion kernel needs for row r of one diagonal layout."""
+
+    n: int
+    two_d: int
+    r: int
+    diag: np.ndarray     # allowed diagonal sign bits, ascending
+    allowed: np.ndarray  # allowed tails, as words in the layout of _SPHERES
+
+    @functools.cached_property
+    def radii(self) -> np.ndarray:
+        """Built when the search first reaches the row (see _radii)."""
+        return _radii(self.n, self.two_d, self.r, self.diag)
+
+
+def _allowed(w: int, pin_mask: int, pin_value: int) -> np.ndarray:
+    """The tails t < 2**w with ``t & pin_mask == pin_value``, as sphere words."""
+    t = np.arange(1 << w)
+    return _pack(((t & pin_mask) == pin_value).reshape(-1, 1 << min(w, _WORD_BITS)))
+
+
+def _radii(n: int, two_d: int, r: int, diag: np.ndarray) -> np.ndarray:
+    """The sphere column, shifted left by the word's tail bits, that placed
+    row i leaves open for row r's tail, for each diagonal sign bit of row r.
+
+    Row (i << (r + 1)) + key, where key = (row i XOR row r's signs before
+    column r) >> w: bit 0 is row i's sign at column r, bit r - c the
+    disagreement at column c < r.  Rows i and r are orthogonal iff their
+    tails differ in exactly h = (n - 2 + 2d*u)/2 - D bits, where D counts
+    the disagreements before column r other than at column i, and
+    u = 1 - [disagree at column i] - [disagree at column r].  An odd
+    numerator or an h outside [0, w] selects an empty column.
+    """
+    w = n - 1 - r
+    low = min(w, _WORD_BITS)
+    key = np.arange(1 << (r + 1))
+    x, z = key & 1, key >> 1
+    e = (z[None, :] >> (r - 1 - np.arange(r))[:, None]) & 1
+    d = (_popcount(z, r) - e)[..., None]
+    e, x = e[..., None], x[:, None]
+    twice_h = n - 2 + two_d * (1 - e - (x ^ diag)) - 2 * d
+    h = np.where(twice_h % 2 == 0, np.clip(twice_h // 2, -1, w + 1), w + 1)
+    return ((h + _PAD) << low).astype(np.int16).reshape(r << (r + 1), len(diag))
+
+
+def _row_plans(n: int, two_d: int, mode: str) -> list[list[_Row]]:
+    """The rows of every explored diagonal layout, in output order.  Equal
+    rows of different layouts are one object, so they share their radii."""
+    made: dict[tuple, _Row] = {}
+
+    def row(r: int, diag: tuple[int, ...], pin_mask: int = 0, pin_value: int = 0) -> _Row:
+        key = (r, diag, pin_mask, pin_value)
+        if key not in made:
+            made[key] = _Row(n, two_d, r, np.array(diag),
+                             _allowed(n - 1 - r, pin_mask, pin_value))
+        return made[key]
+
     if mode == "all":
-        diag = (0,) if two_d == 0 else (two_d, -two_d)
-        return [[_tails_for_row(n, r, diag, None) for r in range(n)]]
+        return [[row(r, (0,) if two_d == 0 else (0, 1)) for r in range(n)]]
     plans = []
     # d = 0 has no diagonal signs to split by: one layout, p = n (to_standard_form's).
     for p in (n,) if two_d == 0 else range((n + 1) // 2, n + 1):
         rows = []
         for r in range(n):
-            diag = (two_d,) if r < p else (-two_d,)
-            fixed = None
             if r == 0:
-                fixed = np.zeros(n - 1, dtype=np.int16)
-                fixed[: p - 1] = -2
-            elif r == p and p < n:
-                fixed = np.full(n - 1 - r, 2, dtype=np.int16)
-            rows.append(_tails_for_row(n, r, diag, fixed))
+                # Standard form pins the entries (0, 1..p-1) to -1 ...
+                pin = ((1 << (p - 1)) - 1) << (n - p)
+                rows.append(row(r, (0,), pin, pin))
+            elif r == p:
+                # ... and the entries (p, p+1..n-1) to +1.
+                rows.append(row(r, (1,), (1 << (n - 1 - r)) - 1, 0))
+            else:
+                rows.append(row(r, (0 if r < p else 1,)))
         plans.append(rows)
     return plans
 
 
-def _children(block: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Extend each partial matrix in ``block`` by every tail that keeps all
-    completed row pairs exactly orthogonal."""
-    nstates, r, n = block.shape
-    prev = block.astype(np.int32)
-    heads = prev[:, :, r]
-    a = np.einsum("sil,sl->si", prev[:, :, :r], heads)
-    t32 = tails.astype(np.int32)
-    b = prev[:, :, r:] @ t32.T
-    feasible = np.all(a[:, :, None] + b == 0, axis=1)
-    si, ti = np.nonzero(feasible)
-    out = np.empty((len(si), r + 1, n), dtype=np.int8)
-    out[:, :r, :] = block[si]
-    out[:, r, :r] = heads[si].astype(np.int8)
-    out[:, r, r:] = tails[ti].astype(np.int8)
+def _children(rows: np.ndarray, n: int, row: _Row) -> np.ndarray:
+    """Extend each state in ``rows`` (placed rows 0..r-1 as sign words, one
+    column per state) by every row r exactly orthogonal to all placed rows.
+
+    Row r's signs before column r are fixed by symmetry; a candidate adds a
+    diagonal sign bit and a tail over the w = n-1-r later columns.  Each
+    placed row admits the tails on one Hamming sphere around its own tail
+    (_radii), so the survivors are the AND of one sphere per placed row.
+    Children come out in ascending word order when the states are sorted.
+    """
+    r, s = rows.shape
+    w = n - 1 - r
+    low = min(w, _WORD_BITS)
+    high = rows >> w
+    head = ((high & 1) << (n - 1 - np.arange(r))[:, None]).sum(axis=0)
+    key = (high ^ (head >> w)) + (np.arange(r) << (r + 1))[:, None]
+    col = np.take(row.radii, key, axis=0)[..., None]
+    if w > low:
+        # The tail spans 2**(w - low) words: word j holds the tails whose
+        # high bits are j, so its sphere is narrower by their distance.
+        far = (rows & ((1 << w) - 1)) >> low
+        col = col - (_popcount(far[..., None] ^ np.arange(1 << (w - low)), w - low)
+                     << low)[:, :, None, :]
+    words = _SPHERES[low][col + (rows & ((1 << low) - 1))[:, :, None, None]]
+    mask = np.bitwise_and.reduce(words, axis=0, initial=_ALL_BITS) & row.allowed
+    # Bit t of word j of half k, in ascending (state, k, j, t) order, is
+    # the candidate with diagonal bit row.diag[k] and tail j * 64 + t.
+    nbytes = max(1, (1 << low) >> 3)
+    raw = mask.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
+    found = np.flatnonzero(np.unpackbits(raw.reshape(-1), bitorder="little"))
+    per_half = (mask.shape[-1] * nbytes * 8).bit_length() - 1
+    si, di = np.divmod(found >> per_half, len(row.diag))
+    out = np.empty((r + 1, len(found)), dtype=np.int64)
+    out[:r] = rows[:, si]
+    out[r] = head[si] | (row.diag[di] << w) | (found & ((1 << per_half) - 1))
     return out
 
 
-def _dfs(n: int, plans: list[list[np.ndarray]], deadline: float,
+def _dfs(n: int, plans: list[list[_Row]], deadline: float,
          max_results: Optional[int]) -> tuple[list[np.ndarray], bool]:
     """Depth-first block search over all row plans, in plan order.
 
-    Returns the hit blocks and whether the search ran to its end: it stops
-    when the deadline passes, when ``max_results`` hits are taken, or when
-    the stack is empty.
+    A block holds states as columns: row words (r, states).  Returns the hit
+    blocks, (n, hits), in ascending order within each plan, and whether the
+    search ran to its end: it stops when the deadline passes, when
+    ``max_results`` hits are taken, or when the stack is empty.
     """
     results: list[np.ndarray] = []
     found = 0
-    stack = [(1, plan, plan[0].astype(np.int8)[:, None, :]) for plan in reversed(plans)]
+    stack = [(0, plan, np.zeros((0, 1), dtype=np.int64)) for plan in reversed(plans)]
     while stack:
         if time.monotonic() > deadline:
             return results, False
         r, plan, block = stack.pop()
         if r == n:
-            if max_results is not None and found + block.shape[0] >= max_results:
+            if max_results is not None and found + block.shape[1] >= max_results:
                 take = max_results - found
-                results.append(block[:take])
-                return results, not stack and take == block.shape[0]
+                results.append(block[:, :take])
+                return results, not stack and take == block.shape[1]
             results.append(block)
-            found += block.shape[0]
+            found += block.shape[1]
             continue
-        tails = plan[r]
-        limit = max(1, _BLOCK_ROWS // max(1, tails.shape[0]))
-        pieces = []
-        for lo in range(0, block.shape[0], limit):
-            child = _children(block[lo:lo + limit], tails)
-            if child.shape[0]:
-                pieces.append(child)
-        for child in reversed(pieces):
-            for lo in range(0, child.shape[0], _BLOCK_ROWS):
-                stack.append((r + 1, plan, child[lo:lo + _BLOCK_ROWS]))
+        limit = max(1, _BLOCK // (len(plan[r].diag) << (n - 1 - r)))
+        pieces = [_children(block[:, lo:lo + limit], n, plan[r])
+                  for lo in range(0, block.shape[1], limit)]
+        # Pushed last to first, so the blocks pop in ascending order.
+        stack.extend((r + 1, plan, child) for child in reversed(pieces) if child.shape[1])
     return results, True
 
 
-def _sorted_stack(n: int, pieces: list[np.ndarray]) -> np.ndarray:
-    if not pieces:
-        return np.empty((0, n, n), dtype=np.int8)
-    stack = np.concatenate(pieces, axis=0)
-    codes = encode_matrix(stack)
-    order = np.lexsort(codes.T[::-1])
-    return stack[order]
+def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
+    """The int8 2Q stack of the hit blocks: a set sign bit means negative."""
+    stack = np.empty((sum(b.shape[1] for b in blocks), n, n), dtype=np.int8)
+    nbytes = (n + 7) // 8
+    idx = np.arange(n)
+    at = 0
+    for block in blocks:
+        raw = np.ascontiguousarray(block.T, dtype=">u8").view(np.uint8)
+        raw = raw.reshape(-1, n, 8)[:, :, 8 - nbytes:]
+        signs = np.unpackbits(raw, axis=-1)[:, :, 8 * nbytes - n:].astype(np.int8)
+        diag = signs[:, idx, idx]
+        signs *= -4
+        signs += 2
+        signs[:, idx, idx] = np.where(diag == 0, two_d, -two_d)
+        stack[at:at + block.shape[1]] = signs
+        at += block.shape[1]
+    return stack
 
 
 def _check_stack(stack: np.ndarray, two_d: int) -> None:
-    """Batch-verify the exact orthogonality identity over all hits.
+    """Batch-verify symmetry, the entry moduli (+-2 off the diagonal, +-2d
+    on it) and the exact orthogonality identity over all hits.
 
     Works through the stack in chunks of int32 copies; a Gram entry is at
     most 4d^2 + 4n - 4 in absolute value, far inside the int32 range.
     """
     n = stack.shape[1]
     target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int32)
+    moduli = np.full((n, n), 2, dtype=np.int8)
+    np.fill_diagonal(moduli, two_d)
     for lo in range(0, stack.shape[0], _CHECK_CHUNK):
-        chunk = stack[lo:lo + _CHECK_CHUNK].astype(np.int32)
-        if not np.all(chunk @ chunk.transpose(0, 2, 1) == target):
+        chunk = stack[lo:lo + _CHECK_CHUNK]
+        if not np.array_equal(chunk, chunk.transpose(0, 2, 1)):
+            raise StructureViolationError("a search hit is not symmetric")
+        # np.abs(-128) is -128 in int8, which matches no modulus.
+        if not np.all(np.abs(chunk) == moduli):
+            raise StructureViolationError(
+                "a search hit has an entry other than +-2 off the diagonal or +-2d on it")
+        wide = chunk.astype(np.int32)
+        if not np.all(wide @ wide.transpose(0, 2, 1) == target):
             raise StructureViolationError(
                 "a search hit fails (2Q)(2Q)^T = (4d^2 + 4n - 4) I")
 
@@ -255,7 +383,9 @@ def exhaustive_search(
     ``mode="all"`` lists every matrix; ``mode="up_to_equivalence"`` explores
     only standard-form assignments and returns one canonical representative
     per equivalence class.  Output is sorted in the fixed row-major encoding,
-    so it is deterministic and independent of chunking.
+    so it is deterministic and independent of chunking.  In ``all`` mode a
+    search stopped by ``max_results`` returns the first ``max_results``
+    matrices of the complete output.
 
     ``max_results`` (at least 1) stops the enumeration after that many hits,
     ``budget_seconds`` (not NaN) bounds the wall-clock time of the enumeration
@@ -284,19 +414,19 @@ def exhaustive_search(
                             two_q_stack=np.empty((0, n, n), dtype=np.int8),
                             complete=True, elapsed=time.monotonic() - started)
     deadline = math.inf if budget_seconds is None else started + budget_seconds
-    pieces, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, max_results)
+    blocks, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, max_results)
+    stack = _decode(blocks, n, two_d)
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
-        for q in (q for piece in pieces for q in piece):
+        for q in stack:
             if time.monotonic() > deadline:
                 complete = False
                 break
             cf, _ = canonical_transform(IntegerMps(d=d, two_q=q.astype(np.int64)))
             reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
-        stack = _sorted_stack(n, [q[None, :, :] for q in reps.values()])
-    else:
-        stack = _sorted_stack(n, pieces)
+        # The keys are the row-major codes, so byte order is output order.
+        stack = np.array([reps[key] for key in sorted(reps)], dtype=np.int8).reshape(-1, n, n)
     _check_stack(stack, two_d)
     return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
                         complete=complete, elapsed=time.monotonic() - started)

@@ -2,13 +2,15 @@ import json
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mpsmat.cli import main
+from mpsmat.classify import necessary_conditions
+from mpsmat.cli import _verdict_text, main
 from mpsmat.designs import sylvester_hadamard
-from mpsmat.serialize import loads_matrix
+from mpsmat.serialize import loads_matrix, matrix_to_obj
 
 
 def run(capsys, *argv):
@@ -148,6 +150,26 @@ class TestClassify:
         code, obj = run_json(capsys, "classify", "--n", "22", "--d", "4")
         assert code == 2 and obj["status"] == "open"
 
+    def test_verdict_text_is_the_json_dumps_layout(self):
+        # Over every half-integer pair with n <= 200, 332 of them with a
+        # witness: the earlier assembly, the witness through matrix_to_obj
+        # and the whole verdict through json.dumps(..., indent=2).
+        def reference(v):
+            obj = {"n": v.n, "d": f"{v.d.numerator}/{v.d.denominator}",
+                   "status": v.status, "rule": v.rule}
+            if v.detail:
+                obj["detail"] = v.detail
+            obj["witness"] = matrix_to_obj(v.witness) if v.witness else None
+            return json.dumps(obj, indent=2)
+
+        witnesses = 0
+        for n in range(2, 201):
+            for j in range(n - 1):
+                v = necessary_conditions(n, Fraction(j, 2))
+                witnesses += v.witness is not None
+                assert _verdict_text(v) == reference(v), (n, j)
+        assert witnesses == 332
+
 
 class TestSearch:
     def test_grid_counts(self, capsys):
@@ -168,6 +190,9 @@ class TestSearch:
         assert code == 2
         blk = obj["results"][0]
         assert blk["count"] == 3 and not blk["complete"]
+        # The first three matrices of the complete output.
+        _, full = run_json(capsys, "search", "--n", "6", "--d", "2")
+        assert blk["matrices"] == full["results"][0]["matrices"][:3]
 
     def test_too_large_exit(self, capsys):
         code = main(["search", "--n", "9"])

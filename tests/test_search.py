@@ -23,6 +23,7 @@ from mpsmat.exact import (
 )
 from mpsmat.search import (
     TooLargeError,
+    _decode,
     _dfs,
     _row_plans,
     are_equivalent,
@@ -199,7 +200,7 @@ class TestHitOrder:
 def _dfs_hits(n, d, mode, max_results):
     """Raw hits of the one DFS over every row plan of the mode, in DFS order."""
     pieces, complete = _dfs(n, _row_plans(n, int(2 * d), mode), math.inf, max_results)
-    return [q.tobytes() for piece in pieces for q in piece], complete
+    return [q.tobytes() for q in _decode(pieces, n, int(2 * d))], complete
 
 
 class TestStopConditions:
@@ -255,11 +256,19 @@ def test_check_stack_raises_under_python_O(subprocess_env):
         from mpsmat.exact import StructureViolationError
         from mpsmat.search import _check_stack
         assert False, "assert statements still run: -O did not take effect"
-        try:
-            _check_stack(np.zeros((1, 4, 4), np.int8), 2)
-        except StructureViolationError:
-            raise SystemExit(0)
-        raise SystemExit("_check_stack accepted a stack that breaks the Gram identity")
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        # The zero matrix breaks the Gram identity (2Q)(2Q)^T = 16 I of
+        # n = 4, d = 1.  2H with two rows swapped (not symmetric) and 4I
+        # (off-diagonal entries 0) satisfy it.
+        accepted_by_gram = [2 * h[[1, 0, 2, 3]], 4 * np.eye(4, dtype=int)]
+        if not all(np.array_equal(q @ q.T, 16 * np.eye(4)) for q in accepted_by_gram):
+            raise SystemExit("a case does not satisfy the Gram identity")
+        for q in [np.zeros((4, 4), dtype=int)] + accepted_by_gram:
+            try:
+                _check_stack(q.astype(np.int8)[None], 2)
+            except StructureViolationError:
+                continue
+            raise SystemExit(f"_check_stack accepted {q.tolist()}")
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=subprocess_env, timeout=120)
@@ -361,9 +370,8 @@ def _standard_form_hits(n, d):
     pieces, complete = _dfs(n, _row_plans(n, int(2 * d), "up_to_equivalence"),
                             math.inf, None)
     assert complete
-    for piece in pieces:
-        for q in piece:
-            yield IntegerMps(d=d, two_q=q.astype(np.int64))
+    for q in _decode(pieces, n, int(2 * d)):
+        yield IntegerMps(d=d, two_q=q.astype(np.int64))
 
 
 class TestCanonicalOracle:
