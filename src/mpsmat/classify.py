@@ -1,7 +1,8 @@
 """Existence classification for real MPS matrices M_n^R(d).
 
-necessary_conditions applies the exact exclusion rules in a fixed order and,
-when none fires, tries to attach a constructed witness:
+necessary_conditions applies the exact exclusion rules in a fixed order, each
+an integer comparison on d = p/q in lowest terms, and, when none fires, tries
+to attach a constructed witness:
 
   range-of-r            d > n/2 - 1 with n > 2
   small-n               n in {3, 4, 5} and d != n/2 - 1
@@ -111,37 +112,41 @@ def necessary_conditions(n: int, d) -> Verdict:
     or open.
 
     The exclusion rules run in the fixed order documented in the module
-    docstring, entirely in exact rational arithmetic.
+    docstring, as exact integer comparisons on d = p/q in lowest terms.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
     d = Fraction(d)
-    if d < 0:
+    # d = p/q in lowest terms with q >= 1, so every rule is an integer
+    # comparison: d against n/2 - 1 is 2p against (n - 2)q.
+    p, q = d.numerator, d.denominator
+    if p < 0:
         raise ValueError("d must be non-negative")
-    half = Fraction(n, 2)
+    edge = (n - 2) * q
 
-    if n > 2 and d > half - 1:
+    if n > 2 and 2 * p > edge:
         return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_RANGE_OF_R)
-    if n in (3, 4, 5) and d != half - 1:
+    if n in (3, 4, 5) and 2 * p != edge:
         return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_SMALL_N)
-    if d < half - 1:
+    if 2 * p < edge:
         if n % 2 == 1:
             return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
                            detail="odd order admits only d = n/2 - 1")
-        if d.denominator != 1:
+        if q != 1:
             return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
                            detail="below n/2 - 1 the ratio must be an integer")
-        if (n // 2 + int(d)) % 2 == 0:
+        if (n // 2 + p) % 2 == 0:
             return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
                            detail="n/2 + d must be odd")
-        if Fraction(n, 6) - 1 < d < Fraction(n, 4) - Fraction(3, 2):
+        # n/6 - 1 < d < n/4 - 3/2 and n/4 - 3/2 <= d, times 6 and 4.
+        if n - 6 < 6 * p and 4 * p < n - 6:
             return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_GAP)
-        if Fraction(n, 4) - Fraction(3, 2) <= d:
-            if design_params_for(n, int(d)) is None:
+        if n - 6 <= 4 * p:
+            if design_params_for(n, p) is None:
                 return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_NONEXISTENCE)
 
-    design_range = d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1
-    params = design_params_for(n, int(d)) if design_range else None
+    design_range = q == 1 and n - 6 <= 4 * p and 2 * p < edge
+    params = design_params_for(n, p) if design_range else None
     found = _witness(n, d)
     if found is not None:
         rule, witness, note = found

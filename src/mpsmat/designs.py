@@ -63,9 +63,21 @@ def _as_int_matrix(matrix) -> np.ndarray:
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """A A^T of an integer matrix, exactly in int64.  numpy's integer matmul has
-    no BLAS kernel, and einsum's sum-of-products loop is faster at these sizes."""
+    """A A^T of an integer matrix, exactly, as int64.
+
+    With M = max |a_ij| and n the row length, every product a_ij a_kj and
+    every partial sum of a row's products is an integer of modulus at most
+    n M^2.  When n M^2 <= 2^53, float64 represents all of them exactly, so
+    the float64 BLAS product never rounds, whatever its summation order,
+    FMA use or thread count, and the cast back is exact.  M comes from
+    Python ints: np.abs(INT64_MIN) is negative.  Above the bound the int64
+    einsum is the exact path (numpy's integer matmul has no BLAS kernel).
+    """
     a = np.asarray(a, dtype=np.int64)
+    m = max(-int(a.min()), int(a.max())) if a.size else 0
+    if a.shape[1] * m * m <= 1 << 53:
+        f = a.astype(np.float64)
+        return (f @ f.T).astype(np.int64)
     return np.einsum("ij,kj->ik", a, a)
 
 

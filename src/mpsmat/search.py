@@ -305,6 +305,9 @@ def _dfs(n: int, plans: list[list[_Row]], deadline: float,
     """
     results: list[np.ndarray] = []
     found = 0
+    # Hits wait for _decode in the narrowest unsigned type of n bits, since a
+    # large all-mode search holds all of them at once.
+    word = np.min_scalar_type((1 << n) - 1)
     stack = [(0, plan, np.zeros((0, 1), dtype=np.int64)) for plan in reversed(plans)]
     while stack:
         if time.monotonic() > deadline:
@@ -313,9 +316,9 @@ def _dfs(n: int, plans: list[list[_Row]], deadline: float,
         if r == n:
             if max_results is not None and found + block.shape[1] >= max_results:
                 take = max_results - found
-                results.append(block[:, :take])
+                results.append(block[:, :take].astype(word))
                 return results, not stack and take == block.shape[1]
-            results.append(block)
+            results.append(block.astype(word))
             found += block.shape[1]
             continue
         limit = max(1, _BLOCK // (len(plan[r].diag) << (n - 1 - r)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mpsmat import classify
 from mpsmat.classify import (
     EXISTS,
     IMPOSSIBLE_STATUS,
@@ -156,3 +157,102 @@ class TestSoundness:
                 if verdict.witness is not None:
                     assert verdict.witness.n == n
                     assert verdict.witness.d == d
+
+
+def _rational_conditions(n, d):
+    """The rule chain as it read in Fraction arithmetic: the oracle of the
+    integer comparisons in necessary_conditions."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    d = Fraction(d)
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    half = Fraction(n, 2)
+
+    if n > 2 and d > half - 1:
+        return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_RANGE_OF_R)
+    if n in (3, 4, 5) and d != half - 1:
+        return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_SMALL_N)
+    if d < half - 1:
+        if n % 2 == 1:
+            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
+                           detail="odd order admits only d = n/2 - 1")
+        if d.denominator != 1:
+            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
+                           detail="below n/2 - 1 the ratio must be an integer")
+        if (n // 2 + int(d)) % 2 == 0:
+            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
+                           detail="n/2 + d must be odd")
+        if Fraction(n, 6) - 1 < d < Fraction(n, 4) - Fraction(3, 2):
+            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_GAP)
+        if Fraction(n, 4) - Fraction(3, 2) <= d:
+            if design_params_for(n, int(d)) is None:
+                return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_NONEXISTENCE)
+
+    design_range = d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1
+    params = design_params_for(n, int(d)) if design_range else None
+    found = classify._witness(n, d)
+    if found is not None:
+        rule, witness, note = found
+        if params is not None and params.lam == 0:
+            note = f"existence rests on the degenerate ({n // 2}, 1, 0)-design (lam = 0)"
+            if rule == "design":
+                note = f"degenerate design (lam = 0); {note}"
+        return Verdict(n, d, EXISTS, rule, witness=witness, detail=note)
+
+    if params is not None:
+        return Verdict(
+            n, d, OPEN, "design-required",
+            detail=f"reduces to a symmetric ({n // 2}, {params.k}, {params.lam})-design; "
+                   "no provider supplies one",
+        )
+    return Verdict(n, d, OPEN, "unclassified",
+                   detail="no rule excludes this pair and no family covers it")
+
+
+def _outcome(classifier, n, d):
+    """Status, rule, detail and witness bytes of a verdict, or the error raised."""
+    try:
+        v = classifier(n, d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    w = v.witness
+    witness = None if w is None else (w.d, w.two_q.dtype.str, w.two_q.shape, w.two_q.tobytes())
+    return v.n, v.d, v.status, v.rule, v.detail, witness
+
+
+class TestIntegerRulesMatchTheRationalOracle:
+    def test_every_sweep_pair(self):
+        # Every half-integer d <= n/2 - 1 with 2 <= n <= 200.
+        pairs = [(n, Fraction(j, 2)) for n in range(2, 201) for j in range(n - 1)]
+        assert len(pairs) == 19_900
+        statuses = {EXISTS: 0, IMPOSSIBLE_STATUS: 0, OPEN: 0}
+        for n, d in pairs:
+            got = _outcome(necessary_conditions, n, d)
+            assert got == _outcome(_rational_conditions, n, d), (n, d)
+            statuses[got[2]] += 1
+        assert statuses == {EXISTS: 332, IMPOSSIBLE_STATUS: 18_692, OPEN: 876}
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_thirds_and_fifths(self, q):
+        # Up to d = n/2, one step past the range-of-r edge.
+        for n in range(2, 61):
+            for j in range(n * q // 2 + 2):
+                d = Fraction(j, q)
+                assert _outcome(necessary_conditions, n, d) == \
+                    _outcome(_rational_conditions, n, d), (n, d)
+
+    @pytest.mark.parametrize("d", [Fraction(10**30 + 1, 2), Fraction(10**40 + 1, 10**40),
+                                   Fraction(10**40 - 1, 10**40), 10**30, Fraction(1, 10**40)])
+    def test_large_numerators_and_denominators(self, d):
+        for n in (2, 3, 4, 5, 6, 8, 10, 12, 30, 31):
+            assert _outcome(necessary_conditions, n, d) == \
+                _outcome(_rational_conditions, n, d), (n, d)
+
+    @pytest.mark.parametrize("n, d", [(1, 0), (0, 1), (-3, Fraction(1, 2)), (6, -1),
+                                      (6, Fraction(-1, 2)), (2, Fraction(-10**40, 3)),
+                                      (1, -1)])
+    def test_value_errors(self, n, d):
+        expected = _outcome(_rational_conditions, n, d)
+        assert expected[0] is ValueError
+        assert _outcome(necessary_conditions, n, d) == expected

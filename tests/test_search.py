@@ -249,6 +249,13 @@ class TestStopConditions:
         with pytest.raises(ValueError):
             exhaustive_search(4, d, mode="bogus")
 
+    @pytest.mark.parametrize("n, d, word", [(2, 0, np.uint8), (8, 3, np.uint8),
+                                            (9, Fraction(7, 2), np.uint16)])
+    def test_hit_words_are_the_narrowest_unsigned_type(self, n, d, word):
+        for max_results in (None, 3):
+            pieces, _ = _dfs(n, _row_plans(n, int(2 * d), "all"), math.inf, max_results)
+            assert pieces and all(p.dtype == word and p.shape[0] == n for p in pieces)
+
 
 def test_check_stack_raises_under_python_O(subprocess_env):
     script = textwrap.dedent("""

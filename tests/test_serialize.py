@@ -448,6 +448,80 @@ def test_gram_is_exact_near_the_int64_limit():
     assert _gram(a).tolist() == exact
 
 
+def _gram_oracle(a):
+    """A A^T in Python ints, reduced to int64 as numpy's integer arithmetic
+    wraps (the reduction changes nothing while the true entries fit)."""
+    rows = [[int(x) for x in r] for r in np.asarray(a)]
+    return [[(sum(x * y for x, y in zip(r, s)) + 2**63) % 2**64 - 2**63 for s in rows]
+            for r in rows]
+
+
+def _check_gram(a):
+    a = np.asarray(a, dtype=np.int64)
+    g = _gram(a)
+    assert g.dtype == np.int64 and g.shape == (a.shape[0], a.shape[0])
+    assert g.tolist() == _gram_oracle(a)
+
+
+def test_gram_at_the_float64_bound():
+    # n M^2 = 2 * (2^26)^2 = 2^53 exactly: the float64 product, which is exact.
+    m = 2**26
+    _check_gram([[m, m - 1], [-m, 3]])
+    _check_gram([[-m, -m], [m, -m]])
+
+
+def test_gram_just_above_the_float64_bound():
+    # n M^2 = 2^53 + 2^28 + 2; the diagonal entry 2^53 + 2^27 + 1 is odd and
+    # above 2^53, so a float64 product would round it.
+    m = 2**26 + 1
+    a = [[m, m - 1], [1, -m]]
+    assert float(m * m + (m - 1) ** 2) != m * m + (m - 1) ** 2
+    _check_gram(a)
+
+
+def test_gram_bound_holds_for_an_int64_min_entry():
+    # np.abs(INT64_MIN) is INT64_MIN, so a bound taken from np.abs would
+    # send this matrix to float64.  The int64 path wraps, like the oracle.
+    lo = np.iinfo(np.int64).min
+    assert np.abs(np.array([lo]))[0] < 0
+    _check_gram([[lo, 1], [1, 1]])
+    _check_gram([[1, 0], [0, lo]])
+
+
+def test_gram_bound_uses_the_row_length():
+    # One row of length 3: 1 * M^2 <= 2^53 but 3 * M^2 > 2^53, and the
+    # entry 2 M^2 + 1 is odd and above 2^53.
+    m = 2**26 + 2
+    assert m * m <= 2**53 < 2 * m * m + 1
+    _check_gram([[m, m, 1]])
+    _check_gram([[m, -m, 1], [0, 1, 0]])
+    _check_gram(np.arange(-3, 3).reshape(6, 1))
+
+
+def test_gram_of_an_empty_matrix():
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        _check_gram(np.zeros(shape, dtype=np.int64))
+
+
+def test_gram_of_an_odd_sum_above_two_to_the_53():
+    # x even with x^2 > 2^53: x^2 + 1 is odd and above 2^53, so float64
+    # cannot hold it.
+    x = 94_906_266
+    assert x % 2 == 0 and x * x > 2**53 and float(x * x + 1) != x * x + 1
+    _check_gram([[x, 1]])
+    _check_gram([[x, 1], [1, -x]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), data=st.data())
+def test_gram_matches_the_oracle_around_the_bound(rows, cols, data):
+    # Entries drawn up to a little above and below sqrt(2^53 / cols).
+    edge = int((2**53 // cols) ** 0.5)
+    top = data.draw(st.sampled_from([1, 2, edge - 1, edge, edge + 1, edge + 2, 2 * edge]))
+    cells = st.integers(-top, top)
+    _check_gram([[data.draw(cells) for _ in range(cols)] for _ in range(rows)])
+
+
 def _flip(a: np.ndarray, i: int, j: int, symmetric: bool = False) -> np.ndarray:
     b = np.array(a, dtype=np.int64)
     b[i, j] = -b[i, j]
