@@ -5,7 +5,8 @@ complex Hadamard matrices), exact verification, normalization to the standard
 bordered form, core extraction, and the correspondence between Hadamard
 matrices of order N and symmetric (N-1, N/2-1, N/4-1)-designs.
 
-All real-kind verification is exact integer arithmetic; complex-kind checks
+All real-kind verification is exact: every real Gram identity, here and in
+the exact module, is one ``_gram_equals`` comparison.  Complex-kind checks
 use the shared numerical tolerance.
 """
 
@@ -62,23 +63,27 @@ def _as_int_matrix(matrix) -> np.ndarray:
     return b
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """A A^T of an integer matrix, exactly, as int64.
+def _gram_equals(a: np.ndarray, target: np.ndarray) -> bool:
+    """Whether A A^T equals ``target`` exactly, for an integer matrix or a
+    stack (..., n, m) of them.
 
-    With M = max |a_ij| and n the row length, every product a_ij a_kj and
+    With M = max |a_ij| and m the row length, every product a_ij a_kj and
     every partial sum of a row's products is an integer of modulus at most
-    n M^2.  When n M^2 <= 2^53, float64 represents all of them exactly, so
-    the float64 BLAS product never rounds, whatever its summation order,
-    FMA use or thread count, and the cast back is exact.  M comes from
-    Python ints: np.abs(INT64_MIN) is negative.  Above the bound the int64
-    einsum is the exact path (numpy's integer matmul has no BLAS kernel).
+    m M^2.  When m M^2 <= 2^53 and no target entry exceeds 2^53 in modulus,
+    float64 holds all of them exactly, so the float64 BLAS product is
+    compared uncast, whatever its summation order, FMA use or thread count.
+    (Float64 rounds a target 2^53 + 1 to 2^53, the Gram of [2^26, 2^26].)
+    M comes from Python ints: np.abs(INT64_MIN) is negative.  Otherwise the
+    int64 einsum is the exact path (integer matmul has no BLAS kernel).
     """
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a)
     m = max(-int(a.min()), int(a.max())) if a.size else 0
-    if a.shape[1] * m * m <= 1 << 53:
+    t = max(-int(target.min()), int(target.max())) if target.size else 0
+    if a.shape[-1] * m * m <= 1 << 53 and t <= 1 << 53:
         f = a.astype(np.float64)
-        return (f @ f.T).astype(np.int64)
-    return np.einsum("ij,kj->ik", a, a)
+        return bool(np.all(f @ f.swapaxes(-1, -2) == target))
+    a = a.astype(np.int64)
+    return bool(np.all(np.einsum("...ij,...kj->...ik", a, a) == target))
 
 
 def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = False) -> bool:
@@ -98,7 +103,7 @@ def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = 
     if not (v > k > lam >= lam_min):
         return False
     target = (k - lam) * np.eye(v, dtype=np.int64) + lam * np.ones((v, v), dtype=np.int64)
-    if not np.array_equal(_gram(a), target):
+    if not _gram_equals(a, target):
         return False
     return bool(np.all(a.sum(axis=1) == k))
 
@@ -165,7 +170,7 @@ def verify_hadamard(matrix, tol: float = DEFAULT_TOL) -> bool:
             return False
         if not np.all(np.abs(b) == 1):
             return False
-        return bool(np.array_equal(_gram(b), n * np.eye(n, dtype=np.int64)))
+        return _gram_equals(b, n * np.eye(n, dtype=np.int64))
     if np.max(np.abs(np.abs(a) - 1.0)) > tol:
         return False
     resid = a @ a.conj().T - n * np.eye(n)
@@ -188,7 +193,7 @@ def verify_conference(matrix, tol: float = DEFAULT_TOL) -> bool:
             return False
         if np.any(np.diagonal(b) != 0) or not np.all(np.abs(b[off]) == 1):
             return False
-        return bool(np.array_equal(_gram(b), (n - 1) * np.eye(n, dtype=np.int64)))
+        return _gram_equals(b, (n - 1) * np.eye(n, dtype=np.int64))
     if np.max(np.abs(np.diagonal(a))) > tol:
         return False
     if np.max(np.abs(np.abs(a[off]) - 1.0)) > tol:

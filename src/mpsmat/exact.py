@@ -25,7 +25,7 @@ import numpy as np
 
 from .designs import (
     SymmetricDesign,
-    _gram,
+    _gram_equals,
     design_params_for,
     normalize_to_standard,
     verify_conference,
@@ -159,8 +159,7 @@ class IntegerMps:
 
 def validate(m: IntegerMps) -> None:
     """Exact validation of all IntegerMps invariants; raises ValueError."""
-    q = m.two_q
-    n = q.shape[0]
+    n = m.n
     if n < 2:
         raise ValueError("order must be at least 2")
     two_d = 2 * m.d
@@ -169,16 +168,36 @@ def validate(m: IntegerMps) -> None:
     two_d = int(two_d)
     if two_d * two_d + 4 * (n - 1) > np.iinfo(np.int64).max:
         raise NotInRangeError("4d^2 + 4n - 4 exceeds the int64 range of the exact checks")
-    if not np.array_equal(q, q.T):
-        raise ValueError("2Q must be symmetric")
-    if not np.all(np.abs(np.diagonal(q)) == two_d):
-        raise ValueError("diagonal entries must be +-2d")
-    off = ~np.eye(n, dtype=bool)
-    if not np.all(np.abs(q[off]) == 2):
-        raise ValueError("off-diagonal entries must be +-2")
+    _check_two_q(m.two_q[None], two_d)
+
+
+#: Matrices per chunk of _check_two_q.  At 1,024 (512 kB float64 temporaries at
+#: n = 8) glibc returned and refaulted their pages each chunk: 2.5x slower.
+_CHECK_CHUNK = 256
+
+
+def _check_two_q(stack: np.ndarray, two_d: int) -> None:
+    """Raise StructureViolationError unless every 2Q of a (k, n, n) stack is
+    symmetric, +-2 off the diagonal and +-2d on it, with (2Q)(2Q)^T =
+    (4d^2 + 4n - 4) I (in the int64 range, as the caller ensures)."""
+    n = stack.shape[-1]
     target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int64)
-    if not np.array_equal(_gram(q), target):
-        raise ValueError("orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails")
+    # In the stack's dtype, so the comparison makes no wide temporary.  The
+    # search's int8 stacks hold 2d <= 127, so the table fits them.
+    moduli = np.where(np.eye(n, dtype=bool), two_d, 2).astype(stack.dtype)
+    for lo in range(0, stack.shape[0], _CHECK_CHUNK):
+        chunk = stack[lo:lo + _CHECK_CHUNK]
+        if not np.array_equal(chunk, chunk.swapaxes(1, 2)):
+            raise StructureViolationError("2Q must be symmetric")
+        # np.abs of the most negative integer is itself, which matches no modulus.
+        bad = np.abs(chunk) != moduli
+        if bad.any():
+            if np.diagonal(bad, axis1=1, axis2=2).any():
+                raise StructureViolationError("diagonal entries must be +-2d")
+            raise StructureViolationError("off-diagonal entries must be +-2")
+        if not _gram_equals(chunk, target):
+            raise StructureViolationError(
+                "orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails")
 
 
 def encode_matrix(two_q: np.ndarray) -> np.ndarray:
@@ -393,6 +412,11 @@ class StructureReport:
     standard: StandardForm
 
 
+def _leading_block(p: int, two_d: int) -> np.ndarray:
+    """2((d+1)I - J) of order p, the doubled leading block of the block form."""
+    return (two_d + 2) * np.eye(p, dtype=np.int64) - 2 * np.ones((p, p), dtype=np.int64)
+
+
 def _zero_ratio_split(m: IntegerMps) -> StandardForm:
     """Block split for the boundary case d = 0 = n/4 - 3/2 (order 6 only).
 
@@ -406,17 +430,12 @@ def _zero_ratio_split(m: IntegerMps) -> StandardForm:
     q = m.two_q
     n = m.n
     p = n // 2
+    lead = _leading_block(p, 0)
     for subset in combinations(range(n), p):
         order = list(subset) + [i for i in range(n) if i not in subset]
         work = q[np.ix_(order, order)]
         cand, signs = _pin_signs(work, p)
-        off = ~np.eye(p, dtype=bool)
-        if (
-            np.all(cand[:p, :p][off] == -2)
-            and np.all(np.diagonal(cand[:p, :p]) == 0)
-            and np.all(cand[p:, p:][off] == 2)
-            and np.all(np.diagonal(cand[p:, p:]) == 0)
-        ):
+        if np.array_equal(cand[:p, :p], lead) and np.array_equal(cand[p:, p:], -lead):
             t = Transform(perm=tuple(order), signs=tuple(int(s) for s in signs))
             return StandardForm(mps=IntegerMps(d=m.d, two_q=cand), p=p, transform=t)
     raise StructureViolationError("no block split matches the forced structure")
@@ -449,11 +468,10 @@ def structure_check(m: IntegerMps) -> StructureReport:
         raise StructureViolationError(f"expected p = n/2, found p = {sf.p}")
     p = sf.p
     q1, q2, _, q4 = sf.blocks
-    two_d = m.two_d
-    off = ~np.eye(p, dtype=bool)
-    if not (np.all(q1[off] == -2) and np.all(np.diagonal(q1) == two_d)):
+    lead = _leading_block(p, m.two_d)
+    if not np.array_equal(q1, lead):
         raise StructureViolationError("leading block is not (d+1)I - J")
-    if not (np.all(q4[off] == 2) and np.all(np.diagonal(q4) == -two_d)):
+    if not np.array_equal(q4, -lead):
         raise StructureViolationError("trailing block is not -(d+1)I + J")
     g = (q2 // 2).astype(np.int64)
     jp = np.ones((p, p), dtype=np.int64)
@@ -475,6 +493,15 @@ def structure_check(m: IntegerMps) -> StructureReport:
                            gram_ok=gram_ok, standard=sf)
 
 
+def _block_and_row_sum(m: IntegerMps) -> tuple[np.ndarray, int]:
+    """The structure block G of m and its constant row sum mu."""
+    g = structure_check(m).g
+    row_sums = g.sum(axis=1)
+    if not np.all(row_sums == row_sums[0]):
+        raise StructureViolationError("G does not have constant row sums")
+    return g, int(row_sums[0])
+
+
 def extract_design(m: IntegerMps) -> SymmetricDesign:
     """Recover the symmetric (n/2, k, lam)-design behind a matrix with
     n/4 - 3/2 <= d < n/2 - 1.
@@ -488,12 +515,7 @@ def extract_design(m: IntegerMps) -> SymmetricDesign:
     d = m.d
     if not (Fraction(n, 4) - Fraction(3, 2) <= d < Fraction(n, 2) - 1):
         raise NotInRangeError("design extraction needs n/4 - 3/2 <= d < n/2 - 1")
-    report = structure_check(m)
-    g = report.g
-    row_sums = g.sum(axis=1)
-    if not np.all(row_sums == row_sums[0]):
-        raise StructureViolationError("G does not have constant row sums")
-    mu = int(row_sums[0])
+    g, mu = _block_and_row_sum(m)
     q = abs(mu)
     v = n // 2
     params = design_params_for(n, int(d))
@@ -515,12 +537,7 @@ def hadamard_bridge(m: IntegerMps) -> np.ndarray:
     n = m.n
     if m.d != Fraction(n, 4) - Fraction(3, 2):
         raise WrongRatioError("bridge needs d = n/4 - 3/2 exactly")
-    report = structure_check(m)
-    g = report.g
-    row_sums = g.sum(axis=1)
-    if not np.all(row_sums == row_sums[0]):
-        raise StructureViolationError("G does not have constant row sums")
-    mu = int(row_sums[0])
+    g, mu = _block_and_row_sum(m)
     order = n // 2 + 1
     h = np.ones((order, order), dtype=np.int64)
     h[0, 0] = -mu
@@ -554,11 +571,7 @@ def _block_scheme(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _assemble_block_form(n: int, d: Fraction, g: np.ndarray) -> IntegerMps:
     """Doubled matrix [[(d+1)I - J, G], [G^T, -(d+1)I + J]] for integer-block G."""
-    p = n // 2
-    two_d = int(2 * d)
-    jp = np.ones((p, p), dtype=np.int64)
-    tl = (two_d + 2) * np.eye(p, dtype=np.int64) - 2 * jp
-    return IntegerMps(d=d, two_q=_block_scheme(tl, 2 * g))
+    return IntegerMps(d=d, two_q=_block_scheme(_leading_block(n // 2, int(2 * d)), 2 * g))
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +617,16 @@ def upper_interval_mps(n: int, d) -> IntegerMps:
     return _assemble_block_form(n, d, g)
 
 
-def conference_mps(conference) -> IntegerMps:
-    """A symmetric conference matrix of order n as a member of M_n^R(0)."""
+def _symmetric_conference(conference) -> np.ndarray:
     c = np.asarray(conference, dtype=np.int64)
     if not np.array_equal(c, c.T) or not verify_conference(c):
         raise ValueError("input is not a symmetric real conference matrix")
-    return IntegerMps(d=Fraction(0), two_q=2 * c)
+    return c
+
+
+def conference_mps(conference) -> IntegerMps:
+    """A symmetric conference matrix of order n as a member of M_n^R(0)."""
+    return IntegerMps(d=Fraction(0), two_q=2 * _symmetric_conference(conference))
 
 
 def conference_block_mps(conference) -> IntegerMps:
@@ -618,9 +635,7 @@ def conference_block_mps(conference) -> IntegerMps:
     Blocks [[I + C, C - I], [C - I, -(I + C)]]; the real specialization
     (angle 0) of the conference-block family.
     """
-    c = np.asarray(conference, dtype=np.int64)
-    if not np.array_equal(c, c.T) or not verify_conference(c):
-        raise ValueError("input is not a symmetric real conference matrix")
+    c = _symmetric_conference(conference)
     eye = np.eye(c.shape[0], dtype=np.int64)
     return IntegerMps(d=Fraction(1), two_q=2 * _block_scheme(eye + c, c - eye))
 

@@ -282,6 +282,16 @@ class Family(NamedTuple):
     alpha: bool = False
 
 
+def _two_by_two_exact(n, d, aux=None):
+    """The exact 2 x 2 member, or None where the float member stands in."""
+    if n != 2 or (2 * d).denominator != 1:
+        return None
+    try:
+        return exact.two_by_two_mps(d)
+    except exact.NotInRangeError:  # 4d^2 + 4 leaves the int64 range of the exact checks
+        return None
+
+
 def _conference_block_exact(n, d, conference=None):
     if d != 1 or n % 2:
         return None
@@ -323,10 +333,7 @@ FAMILIES: dict[str, Family] = {
     "full_j": Family(
         exact=lambda n, d, aux=None: exact.full_j_mps(n) if d == Fraction(n, 2) - 1 else None,
         ratio=lambda n: Fraction(n, 2) - 1),
-    "n2": Family(
-        lambda n, d, aux, alpha: n2_matrix(float(d)),
-        lambda n, d, aux=None: (exact.two_by_two_mps(d)
-                                if n == 2 and (2 * d).denominator == 1 else None)),
+    "n2": Family(lambda n, d, aux, alpha: n2_matrix(float(d)), _two_by_two_exact),
     "upper_interval": Family(
         lambda n, d, aux, alpha: upper_interval(n, float(d)),
         lambda n, d, aux=None: (exact.upper_interval_mps(n, d)

@@ -10,7 +10,7 @@ columns: the candidates for the next row are the AND of one precomputed
 Hamming sphere per placed row, taken over blocks of states.  Candidates come
 out in ascending code order and blocks are explored in order, so the hits
 leave the search already in output order; they are decoded to the int8 2Q
-stack once and every hit is checked exactly.
+stack once and every hit goes through IntegerMps's exact check, _check_two_q.
 
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import IntegerMps, StructureViolationError, Transform, encode_matrix
+from .exact import IntegerMps, StructureViolationError, Transform, _check_two_q, encode_matrix
 
 __all__ = [
     "TooLargeError",
@@ -91,9 +91,6 @@ def _popcount_table() -> np.ndarray:
 
 
 _POPCOUNT16 = _popcount_table()
-
-#: Hits per int32 chunk of the final Gram check.
-_CHECK_CHUNK = 4096
 
 #: Largest order naive_search enumerates; its 2^(n(n+1)/2) patterns grow fast.
 _NAIVE_MAX_ORDER = 6
@@ -348,31 +345,6 @@ def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
     return stack
 
 
-def _check_stack(stack: np.ndarray, two_d: int) -> None:
-    """Batch-verify symmetry, the entry moduli (+-2 off the diagonal, +-2d
-    on it) and the exact orthogonality identity over all hits.
-
-    Works through the stack in chunks of int32 copies; a Gram entry is at
-    most 4d^2 + 4n - 4 in absolute value, far inside the int32 range.
-    """
-    n = stack.shape[1]
-    target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int32)
-    moduli = np.full((n, n), 2, dtype=np.int8)
-    np.fill_diagonal(moduli, two_d)
-    for lo in range(0, stack.shape[0], _CHECK_CHUNK):
-        chunk = stack[lo:lo + _CHECK_CHUNK]
-        if not np.array_equal(chunk, chunk.transpose(0, 2, 1)):
-            raise StructureViolationError("a search hit is not symmetric")
-        # np.abs(-128) is -128 in int8, which matches no modulus.
-        if not np.all(np.abs(chunk) == moduli):
-            raise StructureViolationError(
-                "a search hit has an entry other than +-2 off the diagonal or +-2d on it")
-        wide = chunk.astype(np.int32)
-        if not np.all(wide @ wide.transpose(0, 2, 1) == target):
-            raise StructureViolationError(
-                "a search hit fails (2Q)(2Q)^T = (4d^2 + 4n - 4) I")
-
-
 def exhaustive_search(
     n: int,
     d,
@@ -430,7 +402,7 @@ def exhaustive_search(
             reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
         # The keys are the row-major codes, so byte order is output order.
         stack = np.array([reps[key] for key in sorted(reps)], dtype=np.int8).reshape(-1, n, n)
-    _check_stack(stack, two_d)
+    _check_two_q(stack, two_d)
     return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
                         complete=complete, elapsed=time.monotonic() - started)
 

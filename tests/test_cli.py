@@ -10,6 +10,7 @@ import pytest
 from mpsmat.classify import necessary_conditions
 from mpsmat.cli import _verdict_text, main
 from mpsmat.designs import sylvester_hadamard
+from mpsmat.families import n2_matrix
 from mpsmat.serialize import loads_matrix, matrix_to_obj
 
 
@@ -73,9 +74,15 @@ class TestConstructVerify:
             main(["construct", "--family", "design_complex", "--n", "6", "--alpha", "nan"])
         assert exc.value.code == 64
 
-    def test_ratio_too_large_for_int64_fails(self, capsys):
-        code, out = run(capsys, "construct", "--family", "n2", "--n", "2", "--d", "1e30")
-        assert code == 1 and out == ""
+    @pytest.mark.parametrize("d", ["10000000000", "1e30"])
+    def test_ratio_beyond_int64_writes_the_float_member(self, capsys, d):
+        # 4d^2 + 4 leaves the int64 range of the exact checks, so the 2 x 2
+        # family's float member stands in for the exact one.
+        code, out = run(capsys, "construct", "--family", "n2", "--n", "2", "--d", d)
+        assert code == 0
+        m = loads_matrix(out)
+        assert isinstance(m, np.ndarray)
+        assert np.array_equal(m, n2_matrix(float(Fraction(d))))
 
     def test_hadamard_core_rejects_a_complex_hadamard(self, capsys, tmp_path):
         f4 = tmp_path / "F4.json"
@@ -145,6 +152,16 @@ class TestClassify:
         witness.write_text(json.dumps(obj["witness"]))
         code, report = run_json(capsys, "verify", str(witness))
         assert code == 0
+
+    @pytest.mark.parametrize("d, exact", [("3037000499/2", True), ("1518500250", False),
+                                          ("10000000000", False)])
+    def test_two_by_two_beyond_int64_has_a_null_witness(self, capsys, d, exact):
+        # 4d^2 + 4 <= 2^63 - 1 holds up to 2d = 3,037,000,499; past it the
+        # exact witness cannot be checked in int64 and the verdict carries none.
+        code, obj = run_json(capsys, "classify", "--n", "2", "--d", d)
+        assert code == 0
+        assert obj["status"] == "exists_with_witness" and obj["rule"] == "two-by-two"
+        assert (obj["witness"] is not None) == exact
 
     def test_open_exit_code(self, capsys):
         code, obj = run_json(capsys, "classify", "--n", "22", "--d", "4")

@@ -13,11 +13,14 @@ from mpsmat.designs import (
     verify_hadamard,
 )
 from mpsmat.exact import (
+    _CHECK_CHUNK,
     BlockTooSmallError,
     IntegerMps,
     NotInRangeError,
+    StructureViolationError,
     Transform,
     WrongRatioError,
+    _check_two_q,
     conference_block_mps,
     conference_mps,
     design_mps,
@@ -74,6 +77,60 @@ class TestIntegerMps:
     def test_two_by_two(self):
         m = two_by_two_mps(Fraction(1, 2))
         assert np.array_equal(m.two_q, [[1, 2], [2, -1]])
+
+
+def _hits(k: int, dtype=np.int8) -> np.ndarray:
+    """k copies of 2H, H the symmetric Sylvester matrix of order 4: members
+    at n = 4, d = 1, as a search returns them."""
+    return np.repeat(2 * sylvester_hadamard(4).astype(dtype)[None], k, axis=0)
+
+
+def _broken(q: np.ndarray, kind: str) -> np.ndarray:
+    q = q.copy()
+    if kind == "symmetric":
+        q[0, 1] = -q[0, 1]
+    elif kind == "diagonal":
+        q[1, 1] = 0
+    elif kind == "off-diagonal":
+        q[0, 1] = q[1, 0] = 0
+    else:  # symmetric with the right moduli: only the Gram identity fails
+        q[0, 1] = q[1, 0] = -q[0, 1]
+    return q
+
+
+_MESSAGES = [("symmetric", "must be symmetric"), ("diagonal", "^diagonal entries"),
+             ("off-diagonal", "^off-diagonal entries"), ("orthogonality", "^orthogonality")]
+
+
+class TestCheckTwoQ:
+    """_check_two_q, the one exact check of every IntegerMps and search hit."""
+
+    @pytest.mark.parametrize("kind, message", _MESSAGES)
+    def test_a_bad_matrix_in_a_later_chunk_raises(self, kind, message):
+        stack = _hits(_CHECK_CHUNK + 5)
+        _check_two_q(stack, 2)
+        _check_two_q(stack[:0], 2)
+        stack[_CHECK_CHUNK + 3] = _broken(stack[0], kind)
+        with pytest.raises(StructureViolationError, match=message):
+            _check_two_q(stack, 2)
+        with pytest.raises(StructureViolationError, match=message):
+            IntegerMps(d=1, two_q=stack[_CHECK_CHUNK + 3])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_the_most_negative_integer_matches_no_modulus(self, dtype):
+        # np.abs of the most negative integer is itself, a negative number.
+        lo = np.iinfo(dtype).min
+        assert np.abs(np.array([lo], dtype=dtype))[0] < 0
+        diag, off = _hits(1, dtype), _hits(1, dtype)
+        diag[0, 1, 1] = lo
+        off[0, 0, 1] = off[0, 1, 0] = lo
+        with pytest.raises(StructureViolationError, match="^diagonal entries"):
+            _check_two_q(diag, 2)
+        with pytest.raises(StructureViolationError, match="^off-diagonal entries"):
+            _check_two_q(off, 2)
+        for q in (diag[0], off[0]):
+            with pytest.raises(StructureViolationError):
+                IntegerMps(d=1, two_q=q)
 
 
 def _transforms(n):

@@ -300,6 +300,9 @@ class TestRegistry:
         assert FAMILIES["n2"].exact(2, Fraction(3, 2)) == exact.two_by_two_mps(Fraction(3, 2))
         assert FAMILIES["n2"].exact(2, Fraction(1, 3)) is None
         assert FAMILIES["n2"].exact(9, Fraction(1)) is None
+        # The last 2d with 4d^2 + 4 in the int64 range, and the first past it.
+        assert FAMILIES["n2"].exact(2, Fraction(3_037_000_499, 2)).two_d == 3_037_000_499
+        assert FAMILIES["n2"].exact(2, Fraction(3_037_000_500, 2)) is None
         assert FAMILIES["upper_interval"].exact(8, Fraction(1)) == (
             exact.upper_interval_mps(8, 1))
         assert FAMILIES["upper_interval"].exact(8, Fraction(2)) is None

@@ -258,10 +258,10 @@ class TestStopConditions:
 
 
 def test_check_stack_raises_under_python_O(subprocess_env):
+    # Search hits and IntegerMps go through the one exact check, _check_two_q.
     script = textwrap.dedent("""
         import numpy as np
-        from mpsmat.exact import StructureViolationError
-        from mpsmat.search import _check_stack
+        from mpsmat.exact import IntegerMps, StructureViolationError, _check_two_q
         assert False, "assert statements still run: -O did not take effect"
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
         # The zero matrix breaks the Gram identity (2Q)(2Q)^T = 16 I of
@@ -271,11 +271,13 @@ def test_check_stack_raises_under_python_O(subprocess_env):
         if not all(np.array_equal(q @ q.T, 16 * np.eye(4)) for q in accepted_by_gram):
             raise SystemExit("a case does not satisfy the Gram identity")
         for q in [np.zeros((4, 4), dtype=int)] + accepted_by_gram:
-            try:
-                _check_stack(q.astype(np.int8)[None], 2)
-            except StructureViolationError:
-                continue
-            raise SystemExit(f"_check_stack accepted {q.tolist()}")
+            for check in (lambda: _check_two_q(q.astype(np.int8)[None], 2),
+                          lambda: IntegerMps(d=1, two_q=q)):
+                try:
+                    check()
+                except StructureViolationError:
+                    continue
+                raise SystemExit(f"accepted {q.tolist()}")
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=subprocess_env, timeout=120)

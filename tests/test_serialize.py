@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpsmat.designs import (
-    _gram,
+    _gram_equals,
     hadamard_to_design,
     identity_design,
     paley_conference,
@@ -404,7 +404,9 @@ _MALFORMED = [
 def test_reader_rejects_as_the_oracle_does(obj):
     outcome = _parse_outcome(matrix_from_obj, obj)
     assert outcome == _parse_outcome(_oracle_matrix_from_obj, obj)
-    assert outcome[0] in ("FormatError", "ValueError")
+    # A document that parses but breaks a 2Q invariant fails the one exact
+    # check, whose StructureViolationError is a ValueError.
+    assert outcome[0] in ("FormatError", "ValueError", "StructureViolationError")
 
 
 _CELLS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
@@ -427,7 +429,33 @@ def test_reader_matches_the_oracle_on_mutated_cells(base, data):
     assert _parse_outcome(matrix_from_obj, obj) == _parse_outcome(_oracle_matrix_from_obj, obj)
 
 
-# --- The exact Gram kernel ----------------------------------------------------
+# --- The exact Gram comparison ------------------------------------------------
+
+def _wrap(x: int) -> int:
+    """x reduced to int64, as numpy's integer arithmetic wraps."""
+    return (x + 2**63) % 2**64 - 2**63
+
+
+def _gram_oracle(a):
+    """A A^T in Python ints, reduced to int64 (the reduction changes nothing
+    while the true entries fit)."""
+    rows = [[int(x) for x in r] for r in np.asarray(a)]
+    return [[_wrap(sum(x * y for x, y in zip(r, s))) for s in rows] for r in rows]
+
+
+def _check_gram(a):
+    """_gram_equals holds against the oracle's Gram matrix and fails once any
+    one target entry moves by +-1."""
+    a = np.asarray(a)
+    exact = _gram_oracle(a)
+    target = np.array(exact, dtype=np.int64).reshape(a.shape[0], a.shape[0])
+    assert _gram_equals(a, target)
+    for i, j in np.ndindex(target.shape):
+        for step in (-1, 1):
+            moved = target.copy()
+            moved[i, j] = _wrap(exact[i][j] + step)
+            assert not _gram_equals(a, moved), (i, j, step)
+
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
 def test_gram_equals_matmul(n):
@@ -436,31 +464,30 @@ def test_gram_equals_matmul(n):
     two_q = 2 * signs
     np.fill_diagonal(two_q, rng.choice([-2, 2], size=n) * rng.integers(0, 40))
     for a in (signs, two_q, signs.astype(np.int8), rng.choice([0, 1], size=(n, n))):
-        g = _gram(a)
-        assert g.dtype == np.int64
-        assert np.array_equal(g, a.astype(np.int64) @ a.astype(np.int64).T)
+        assert _gram_equals(a, a.astype(np.int64) @ a.astype(np.int64).T)
+    _check_gram(two_q)
+
+
+def test_gram_equals_on_a_stack():
+    # The target broadcasts over the stack; one bad matrix fails it.
+    h = sylvester_hadamard(4)
+    stack = np.array([2 * h, -2 * h, 2 * h[::-1, ::-1]], dtype=np.int8)
+    assert _gram_equals(stack, 16 * np.eye(4, dtype=np.int64))
+    stack[2, 0, 0] = -stack[2, 0, 0]
+    assert not _gram_equals(stack, 16 * np.eye(4, dtype=np.int64))
+    rng = np.random.default_rng(3)
+    a = rng.integers(-9, 10, size=(5, 4, 3))
+    target = np.array([_gram_oracle(x) for x in a], dtype=np.int64)
+    assert _gram_equals(a, target)
+    for k, i, j in [(0, 0, 0), (4, 1, 3), (2, 3, 2)]:
+        moved = target.copy()
+        moved[k, i, j] += 1
+        assert not _gram_equals(a, moved)
 
 
 def test_gram_is_exact_near_the_int64_limit():
     # Entries of 2 * 10^9: each product is 4e18, beyond float64's exact integers.
-    a = np.array([[2 * 10**9, 2], [2, -2 * 10**9 + 1]], dtype=np.int64)
-    exact = [[sum(int(x) * int(y) for x, y in zip(r, s)) for s in a] for r in a]
-    assert _gram(a).tolist() == exact
-
-
-def _gram_oracle(a):
-    """A A^T in Python ints, reduced to int64 as numpy's integer arithmetic
-    wraps (the reduction changes nothing while the true entries fit)."""
-    rows = [[int(x) for x in r] for r in np.asarray(a)]
-    return [[(sum(x * y for x, y in zip(r, s)) + 2**63) % 2**64 - 2**63 for s in rows]
-            for r in rows]
-
-
-def _check_gram(a):
-    a = np.asarray(a, dtype=np.int64)
-    g = _gram(a)
-    assert g.dtype == np.int64 and g.shape == (a.shape[0], a.shape[0])
-    assert g.tolist() == _gram_oracle(a)
+    _check_gram(np.array([[2 * 10**9, 2], [2, -2 * 10**9 + 1]], dtype=np.int64))
 
 
 def test_gram_at_the_float64_bound():
@@ -468,6 +495,11 @@ def test_gram_at_the_float64_bound():
     m = 2**26
     _check_gram([[m, m - 1], [-m, 3]])
     _check_gram([[-m, -m], [m, -m]])
+    # The Gram entry of [m, m] is 2^53, and float64 rounds a target of
+    # 2^53 + 1 to it: the target needs its own bound.
+    _check_gram([[m, m]])
+    assert float(2**53 + 1) == 2**53
+    assert not _gram_equals(np.array([[m, m]]), np.array([[2**53 + 1]]))
 
 
 def test_gram_just_above_the_float64_bound():
@@ -481,7 +513,7 @@ def test_gram_just_above_the_float64_bound():
 
 def test_gram_bound_holds_for_an_int64_min_entry():
     # np.abs(INT64_MIN) is INT64_MIN, so a bound taken from np.abs would
-    # send this matrix to float64.  The int64 path wraps, like the oracle.
+    # send these matrices to float64.  The int64 path wraps, like the oracle.
     lo = np.iinfo(np.int64).min
     assert np.abs(np.array([lo]))[0] < 0
     _check_gram([[lo, 1], [1, 1]])
@@ -489,11 +521,13 @@ def test_gram_bound_holds_for_an_int64_min_entry():
 
 
 def test_gram_bound_uses_the_row_length():
-    # One row of length 3: 1 * M^2 <= 2^53 but 3 * M^2 > 2^53, and the
-    # entry 2 M^2 + 1 is odd and above 2^53.
+    # One row of length 3: 1 * M^2 <= 2^53 but 3 * M^2 > 2^53.  The entry
+    # 2 M^2 + 1 of the first row is odd and above 2^53; that of the second is
+    # 2^53 + 1, which float64 rounds to the target 2^53 that is one below it.
     m = 2**26 + 2
     assert m * m <= 2**53 < 2 * m * m + 1
     _check_gram([[m, m, 1]])
+    _check_gram([[2**26, 2**26, 1]])
     _check_gram([[m, -m, 1], [0, 1, 0]])
     _check_gram(np.arange(-3, 3).reshape(6, 1))
 
@@ -501,6 +535,7 @@ def test_gram_bound_uses_the_row_length():
 def test_gram_of_an_empty_matrix():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         _check_gram(np.zeros(shape, dtype=np.int64))
+    assert _gram_equals(np.zeros((0, 4, 4), dtype=np.int8), 16 * np.eye(4, dtype=np.int64))
 
 
 def test_gram_of_an_odd_sum_above_two_to_the_53():
