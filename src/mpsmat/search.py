@@ -8,9 +8,11 @@ at bit n-1-c, a set bit for a negative entry).  Every entry has modulus 2 or
 2d, so two rows are orthogonal iff their signs disagree in a set number of
 columns: the candidates for the next row are the AND of one precomputed
 Hamming sphere per placed row, taken over blocks of states.  Candidates come
-out in ascending code order and blocks are explored in order, so the hits
-leave the search already in output order; they are decoded to the int8 2Q
-stack once and every hit goes through IntegerMps's exact check, _check_two_q.
+out in ascending code order.  ``all`` mode searches one matrix per orbit of
+the paired sign flips S -> DSD, D = diag(+-1): the one whose row 0 is + off
+the diagonal.  The orbits are written out by XOR masks on the sign words and
+sorted chunk by chunk, decoded to the int8 2Q stack once, and every hit goes
+through IntegerMps's exact check, _check_two_q.
 
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
@@ -39,6 +41,7 @@ its transform are the scan's exactly.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -62,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_MAX_ORDER = 8
+_log = logging.getLogger(__name__)
 
 #: Largest 2d the int8 hit stacks hold.
 _MAX_TWO_D = np.iinfo(np.int8).max
@@ -91,6 +95,9 @@ def _popcount_table() -> np.ndarray:
 
 
 _POPCOUNT16 = _popcount_table()
+
+#: Hits per chunk of _orbits; _decode's temporaries, and so peak memory, grow with it.
+_CHUNK = 1 << 11
 
 #: Largest order naive_search enumerates; its 2^(n(n+1)/2) patterns grow fast.
 _NAIVE_MAX_ORDER = 6
@@ -234,7 +241,9 @@ def _row_plans(n: int, two_d: int, mode: str) -> list[list[_Row]]:
         return made[key]
 
     if mode == "all":
-        return [[row(r, (0,) if two_d == 0 else (0, 1)) for r in range(n)]]
+        # Row 0's tail is pinned to +: one representative per sign-flip orbit.
+        return [[row(r, (0,) if two_d == 0 else (0, 1), 0 if r else (1 << (n - 1)) - 1)
+                 for r in range(n)]]
     plans = []
     # d = 0 has no diagonal signs to split by: one layout, p = n (to_standard_form's).
     for p in (n,) if two_d == 0 else range((n + 1) // 2, n + 1):
@@ -298,7 +307,8 @@ def _dfs(n: int, plans: list[list[_Row]], deadline: float,
     A block holds states as columns: row words (r, states).  Returns the hit
     blocks, (n, hits), in ascending order within each plan, and whether the
     search ran to its end: it stops when the deadline passes, when
-    ``max_results`` hits are taken, or when the stack is empty.
+    ``max_results`` hits are taken, or when the stack is empty.  In ``all``
+    mode the hits are orbit representatives, and _orbits applies max_results.
     """
     results: list[np.ndarray] = []
     found = 0
@@ -324,6 +334,35 @@ def _dfs(n: int, plans: list[list[_Row]], deadline: float,
         # Pushed last to first, so the blocks pop in ascending order.
         stack.extend((r + 1, plan, child) for child in reversed(pieces) if child.shape[1])
     return results, True
+
+
+def _orbits(reps: list[np.ndarray], n: int, max_results: Optional[int],
+            deadline: float) -> tuple[list[np.ndarray], bool]:
+    """The orbits DRD, D = diag(+-1), of the ascending representative blocks
+    ``reps`` in output order, and whether all were written (it stops at
+    ``max_results`` hits, or between chunks after the deadline).  Flip word F
+    has bit n-1-c set where D_cc = -1, D_00 = +1.  Row i of DRD is row i XOR F,
+    or XOR ~F where D_ii = -1, so row 0 is (diagonal bit, F): the output runs
+    through F for the +d representatives, then the -d, one lexsort per chunk.
+    """
+    reps = np.concatenate(reps or [np.empty((n, 0), np.uint8)], axis=1)
+    flips, full = 1 << (n - 1), (1 << n) - 1
+    total, found = reps.shape[1] * flips, 0
+    cap = min(max_results or total, total)
+    blocks: list[np.ndarray] = []
+    for group in (g for g in np.split(reps, [np.count_nonzero(reps[0] == 0)], axis=1) if g.size):
+        step = max(1, _CHUNK // group.shape[1])
+        for lo in range(0, flips, step):
+            if blocks and time.monotonic() > deadline:
+                return blocks, False
+            f = np.arange(lo, min(lo + step, flips))
+            masks = (f ^ ((f >> (n - 1 - np.arange(n))[:, None]) & 1) * full).astype(reps.dtype)
+            hits = (group[:, None, :] ^ masks[:, :, None]).reshape(n, -1)
+            blocks.append(hits[:, np.lexsort(hits[::-1])][:, :cap - found])
+            found += blocks[-1].shape[1]
+            if found == cap:
+                return blocks, cap == total
+    return blocks, True
 
 
 def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
@@ -358,9 +397,11 @@ def exhaustive_search(
     ``mode="all"`` lists every matrix; ``mode="up_to_equivalence"`` explores
     only standard-form assignments and returns one canonical representative
     per equivalence class.  Output is sorted in the fixed row-major encoding,
-    so it is deterministic and independent of chunking.  In ``all`` mode a
-    search stopped by ``max_results`` returns the first ``max_results``
-    matrices of the complete output.
+    so it is deterministic and independent of chunking.  In ``all`` mode
+    ``max_results``, or a budget that runs out while the orbits are written
+    out, leaves the first matrices of the complete output; a budget that runs
+    out in the DFS of the orbit representatives leaves the first chunk of the
+    orbits found so far, sorted and checked but not a prefix.
 
     ``max_results`` (at least 1) stops the enumeration after that many hits,
     ``budget_seconds`` (not NaN) bounds the wall-clock time of the enumeration
@@ -368,6 +409,8 @@ def exhaustive_search(
     when they fire early.  In ``up_to_equivalence`` mode ``max_results`` caps the
     standard-form hits explored, so at most that many classes come back, and
     a budget that runs out between hits returns the classes found so far.
+    Each search logs one DEBUG record on ``mpsmat.search``: phase times, counts
+    and the stop cause (``complete``, ``budget`` or ``max_results``).
     """
     started = time.monotonic()
     if mode not in ("all", "up_to_equivalence"):
@@ -389,22 +432,39 @@ def exhaustive_search(
                             two_q_stack=np.empty((0, n, n), dtype=np.int8),
                             complete=True, elapsed=time.monotonic() - started)
     deadline = math.inf if budget_seconds is None else started + budget_seconds
-    blocks, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, max_results)
+    limit = None if mode == "all" else max_results
+    blocks, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, limit)
+    found = sum(b.shape[1] for b in blocks)
+    marks = [started, time.monotonic()]
+    # max_results stopped the search iff exactly that many hits came out,
+    # unless the budget had already cut the all-mode DFS.
+    cut = max_results if complete or limit else None
+    if mode == "all":
+        blocks, expanded = _orbits(blocks, n, max_results, deadline)
+        complete &= expanded
+    marks.append(time.monotonic())
     stack = _decode(blocks, n, two_d)
+    marks.append(time.monotonic())
+    stop = "complete" if complete else "max_results" if len(stack) == cut else "budget"
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
         for q in stack:
             if time.monotonic() > deadline:
-                complete = False
+                complete, stop = False, "budget"
                 break
             cf, _ = canonical_transform(IntegerMps(d=d, two_q=q.astype(np.int64)))
             reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
         # The keys are the row-major codes, so byte order is output order.
         stack = np.array([reps[key] for key in sorted(reps)], dtype=np.int8).reshape(-1, n, n)
+    marks.append(time.monotonic())
     _check_two_q(stack, two_d)
+    marks.append(time.monotonic())
+    _log.debug("search n=%d d=%s mode=%s: %d representatives, %d matrices, stop %s, seconds "
+               "(dfs, expand, decode, canonicalize, check) %s", n, d, mode, found, len(stack),
+               stop, np.diff(marks).round(4).tolist())
     return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
-                        complete=complete, elapsed=time.monotonic() - started)
+                        complete=complete, elapsed=marks[-1] - started)
 
 
 def naive_search(n: int, d) -> list[IntegerMps]:

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import logging
 import math
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,6 +27,7 @@ from mpsmat.search import (
     TooLargeError,
     _decode,
     _dfs,
+    _orbits,
     _row_plans,
     are_equivalent,
     candidate_ratios,
@@ -198,8 +201,16 @@ class TestHitOrder:
 
 
 def _dfs_hits(n, d, mode, max_results):
-    """Raw hits of the one DFS over every row plan of the mode, in DFS order."""
-    pieces, complete = _dfs(n, _row_plans(n, int(2 * d), mode), math.inf, max_results)
+    """Raw hits of the one DFS over every row plan of the mode, in DFS order;
+    in ``all`` mode the DFS finds the orbit representatives and _orbits
+    writes their orbits out, cut at ``max_results``."""
+    plans = _row_plans(n, int(2 * d), mode)
+    if mode == "all":
+        reps, complete = _dfs(n, plans, math.inf, None)
+        pieces, expanded = _orbits(reps, n, max_results, math.inf)
+        complete = complete and expanded
+    else:
+        pieces, complete = _dfs(n, plans, math.inf, max_results)
     return [q.tobytes() for q in _decode(pieces, n, int(2 * d))], complete
 
 
@@ -255,6 +266,183 @@ class TestStopConditions:
         for max_results in (None, 3):
             pieces, _ = _dfs(n, _row_plans(n, int(2 * d), "all"), math.inf, max_results)
             assert pieces and all(p.dtype == word and p.shape[0] == n for p in pieces)
+
+
+def _representatives(n, two_d):
+    """The all-mode DFS hit blocks, one per sign-flip orbit, and their int8 2Q stack."""
+    reps, complete = _dfs(n, _row_plans(n, two_d, "all"), math.inf, None)
+    assert complete
+    return reps, _decode(reps, n, two_d)
+
+
+def _chunk_ends(n, two_d):
+    """Hit count after each chunk of the orbit expansion."""
+    blocks, _ = _orbits(_representatives(n, two_d)[0], n, None, math.inf)
+    return np.cumsum([b.shape[1] for b in blocks]).tolist()
+
+
+class TestOrbitExpansion:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_orbits_are_the_sign_flip_classes(self, n):
+        # D M D with D_jj = sign(M_0j), D_00 = +1, maps every hit to the
+        # member of its orbit whose row-0 tail is all +2.
+        for d in candidate_ratios(n):
+            hits = exhaustive_search(n, d).two_q_stack.astype(np.int64)
+            _, reps = _representatives(n, int(2 * d))
+            assert np.array_equal(reps, hits[np.all(hits[:, 0, 1:] == 2, axis=1)])
+            signs = np.sign(hits[:, 0, :])
+            signs[:, 0] = 1
+            fixed = hits * signs[:, :, None] * signs[:, None, :]
+            sizes = Counter(q.tobytes() for q in fixed)
+            assert set(sizes) == {q.astype(np.int64).tobytes() for q in reps}
+            assert set(sizes.values()) <= {1 << (n - 1)}
+            assert len(hits) == (1 << (n - 1)) * len(reps)
+
+    @pytest.mark.parametrize("chunk", [1, 5, search._CHUNK])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_max_results_at_every_chunk_edge(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        for d in candidate_ratios(n):
+            full = exhaustive_search(n, d).two_q_stack
+            total = len(full)
+            ends = _chunk_ends(n, int(2 * d))
+            assert ends[-1:] == ([total] if total else [])
+            ks = {1, total - 1, total, total + 1}
+            ks.update(e + delta for e in ends for delta in (-1, 0, 1))
+            for k in sorted(k for k in ks if k >= 1):
+                res = exhaustive_search(n, d, max_results=k)
+                assert np.array_equal(res.two_q_stack, full[:k]), (n, d, k)
+                assert res.complete == (k >= total), (n, d, k)
+
+    def test_budget_fires_inside_the_expansion(self, monkeypatch):
+        # The clock stands still through the DFS and runs out with it, so the
+        # expansion writes its first chunk and stops at the next deadline test.
+        full = exhaustive_search(8, 3).two_q_stack
+        first = _chunk_ends(8, 6)[0]
+        assert first < len(full)
+        clock = [0.0]
+        real = search._dfs
+
+        def expiring(*args, **kwargs):
+            out = real(*args, **kwargs)
+            clock[0] = 100.0
+            return out
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "_dfs", expiring)
+        res = exhaustive_search(8, 3, budget_seconds=1.0)
+        assert not res.complete
+        assert np.array_equal(res.two_q_stack, full[:first])
+
+    def test_budget_fires_inside_the_representative_dfs(self, monkeypatch):
+        # Small blocks split the last row's states over several calls, and
+        # the clock runs out at the second, once some representatives are
+        # found: the result is a sorted subset of the complete output.
+        full = {q.tobytes() for q in exhaustive_search(8, 3).two_q_stack}
+        clock = [0.0]
+        calls = []
+        real = search._children
+
+        def expiring(rows, *args):
+            calls.append(rows.shape[0])
+            if calls.count(7) == 2:
+                clock[0] = 100.0
+            return real(rows, *args)
+
+        monkeypatch.setattr(search, "_BLOCK", 64)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "_children", expiring)
+        res = exhaustive_search(8, 3, budget_seconds=1.0)
+        assert not res.complete and res.count
+        hits = res.two_q_stack.tolist()
+        assert hits == sorted(hits, key=_plain_sort_key)
+        assert {q.tobytes() for q in res.two_q_stack} <= full
+
+
+class TestSearchLog:
+    def _record(self, caplog, *args, **kwargs):
+        caplog.set_level(logging.DEBUG, logger="mpsmat.search")
+        res = exhaustive_search(*args, **kwargs)
+        records = [r for r in caplog.records if r.name == "mpsmat.search"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        return res, records[0].getMessage()
+
+    @pytest.mark.parametrize("mode, counts", [
+        ("all", "72 representatives, 9216 matrices"),
+        ("up_to_equivalence", "3 representatives, 2 matrices"),
+    ])
+    def test_complete(self, caplog, mode, counts):
+        res, message = self._record(caplog, 8, 3, mode=mode)
+        assert res.complete
+        assert f"mode={mode}: " in message and counts in message
+        assert message.endswith("stop complete, seconds (dfs, expand, decode, canonicalize, "
+                                "check) " + str(caplog.records[0].args[-1]))
+        assert len(caplog.records[0].args[-1]) == 5
+        assert all(t >= 0 for t in caplog.records[0].args[-1])
+
+    @pytest.mark.parametrize("mode", ["all", "up_to_equivalence"])
+    def test_max_results(self, caplog, mode):
+        res, message = self._record(caplog, 6, 2, mode=mode, max_results=1)
+        assert not res.complete and "stop max_results," in message
+
+    @pytest.mark.parametrize("mode", ["all", "up_to_equivalence"])
+    def test_budget_in_the_dfs(self, caplog, mode):
+        res, message = self._record(caplog, 8, 1, mode=mode, budget_seconds=0.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_budget_in_the_expansion(self, caplog, monkeypatch):
+        clock = [0.0]
+        real = search._dfs
+
+        def expiring(*args, **kwargs):
+            out = real(*args, **kwargs)
+            clock[0] = 100.0
+            return out
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "_dfs", expiring)
+        # max_results is not reached, so the budget is the cause.
+        res, message = self._record(caplog, 8, 3, max_results=5000, budget_seconds=1.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_budget_in_the_dfs_before_max_results(self, caplog, monkeypatch):
+        # The budget runs out in the DFS and the first chunk then holds more
+        # than max_results hits: the budget stopped the search first.
+        clock = [0.0]
+        calls = []
+        real = search._children
+
+        def expiring(rows, *args):
+            calls.append(rows.shape[0])
+            if calls.count(7) == 2:
+                clock[0] = 100.0
+            return real(rows, *args)
+
+        monkeypatch.setattr(search, "_BLOCK", 64)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "_children", expiring)
+        res, message = self._record(caplog, 8, 3, max_results=1, budget_seconds=1.0)
+        assert res.count == 1 and not res.complete and "stop budget," in message
+
+    def test_budget_in_canonicalization(self, caplog, monkeypatch):
+        clock = [0.0]
+        real = search.canonical_transform
+
+        def expiring(*args, **kwargs):
+            clock[0] = 100.0
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "canonical_transform", expiring)
+        res, message = self._record(caplog, 8, 1, mode="up_to_equivalence",
+                                    max_results=5, budget_seconds=1.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_silent_by_default(self, caplog, capsys):
+        exhaustive_search(6, 2)
+        exhaustive_search(6, 2, mode="up_to_equivalence", max_results=1)
+        assert not caplog.records
+        assert capsys.readouterr() == ("", "")
 
 
 def test_check_stack_raises_under_python_O(subprocess_env):

@@ -90,6 +90,17 @@ def test_export_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256
 
 
+@pytest.mark.parametrize("argv, code, digest", [
+    (["--n", "7"], 0, "4be4405652c9aa263796925a85ffc8c23f5f2860ba0eee2465634db9793b9fbb"),
+    (["--n", "8", "--d", "1", "--max-results", "5000"], 2,
+     "3e7ebe17a7a9a83840cdd0d96f75f63f2b24b1e2bcfc71395f1c2914e0d28512"),
+])
+def test_stdout_digest(capsys, argv, code, digest):
+    # Pinned before all-mode hits were written out as sign-flip orbits.
+    assert main(["search"] + argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_one_trailing_newline_on_stdout_and_none_in_the_file(capsys, tmp_path):
     out = tmp_path / "doc.json"
     assert main(["search", "--n", "4", "--d", "1", "--out", str(out)]) == 0

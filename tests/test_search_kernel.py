@@ -2,9 +2,10 @@
 
 The reference below is the earlier search layer, kept as an oracle: int16
 candidate-tail tables, an int32 kernel that tests each (state, placed row,
-tail) by integer matrix products, and a final encode plus lexsort.  The
-sign-word search must reproduce its sorted output bit for bit without a
-sort step.
+tail) by integer matrix products, and a final encode plus lexsort.  It
+searches every matrix, not one per sign-flip orbit, so it is independent of
+the orbit expansion.  The sign-word search must reproduce its sorted output
+bit for bit.
 """
 
 import math
