@@ -219,11 +219,14 @@ def _cmd_classify(args) -> int:
 def _cmd_search(args) -> int:
     ratios = [args.d] if args.d is not None else search.candidate_ratios(args.n)
     mode = "up_to_equivalence" if args.canonical else "all"
+    limits = dict(max_results=args.max_results, budget_seconds=args.budget,
+                  max_order=args.max_order)
     # Every ratio is searched before the output is opened, so an error writes nothing.
-    results = [search.exhaustive_search(args.n, d, mode=mode, max_results=args.max_results,
-                                        budget_seconds=args.budget,
-                                        max_order=args.max_order)
-               for d in ratios]
+    if args.count_only and not args.canonical:
+        # The all-mode count needs only the checked sign-flip orbit representatives.
+        results = [search.count_search(args.n, d, **limits) for d in ratios]
+    else:
+        results = [search.exhaustive_search(args.n, d, mode=mode, **limits) for d in ratios]
     with _output(args.out) as fh:
         serialize.write_search_document(fh, args.n, mode, results, not args.count_only)
         if fh is sys.stdout:

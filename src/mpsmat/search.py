@@ -12,7 +12,9 @@ out in ascending code order.  ``all`` mode searches one matrix per orbit of
 the paired sign flips S -> DSD, D = diag(+-1): the one whose row 0 is + off
 the diagonal.  The orbits are written out by XOR masks on the sign words and
 sorted chunk by chunk, decoded to the int8 2Q stack once, and every hit goes
-through IntegerMps's exact check, _check_two_q.
+through IntegerMps's exact check, _check_two_q.  count_search counts the
+matrices without writing the orbits out: every orbit has exactly 2^(n-1)
+members, so it checks the representatives and counts 2^(n-1) for each.
 
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
@@ -55,7 +57,9 @@ from .exact import IntegerMps, StructureViolationError, Transform, _check_two_q,
 __all__ = [
     "TooLargeError",
     "SearchResult",
+    "SearchCount",
     "candidate_ratios",
+    "count_search",
     "exhaustive_search",
     "naive_search",
     "canonical_form",
@@ -149,6 +153,18 @@ class SearchResult:
 
     def matrices(self) -> list[IntegerMps]:
         return [IntegerMps(d=self.d, two_q=q) for q in self.two_q_stack]
+
+
+@dataclass
+class SearchCount:
+    """count_search's outcome: the number of matrices, checked through their
+    sign-flip orbit representatives, and whether it is the whole total."""
+
+    n: int
+    d: Fraction
+    count: int
+    complete: bool
+    elapsed: float
 
 
 def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
@@ -308,7 +324,8 @@ def _dfs(n: int, plans: list[list[_Row]], deadline: float,
     blocks, (n, hits), in ascending order within each plan, and whether the
     search ran to its end: it stops when the deadline passes, when
     ``max_results`` hits are taken, or when the stack is empty.  In ``all``
-    mode the hits are orbit representatives, and _orbits applies max_results.
+    mode the hits are orbit representatives, and _orbits or count_search
+    applies max_results.
     """
     results: list[np.ndarray] = []
     found = 0
@@ -384,6 +401,26 @@ def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
     return stack
 
 
+def _validated(n: int, d, mode: str, max_results: Optional[int],
+               budget_seconds: Optional[float], max_order: int) -> tuple[Fraction, Optional[int]]:
+    """The search arguments checked in a fixed order, as (d, 2d); 2d is None
+    off the half-integer grid, where there is nothing to find."""
+    if mode not in ("all", "up_to_equivalence"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if max_results is not None and max_results < 1:
+        raise ValueError("max_results must be at least 1")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number, not NaN")
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    if n > max_order:
+        raise TooLargeError(f"order {n} exceeds the search maximum {max_order}")
+    d = Fraction(d)
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    return d, _two_d(d)
+
+
 def exhaustive_search(
     n: int,
     d,
@@ -413,20 +450,7 @@ def exhaustive_search(
     and the stop cause (``complete``, ``budget`` or ``max_results``).
     """
     started = time.monotonic()
-    if mode not in ("all", "up_to_equivalence"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if max_results is not None and max_results < 1:
-        raise ValueError("max_results must be at least 1")
-    if budget_seconds is not None and math.isnan(budget_seconds):
-        raise ValueError("budget_seconds must be a number, not NaN")
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    if n > max_order:
-        raise TooLargeError(f"order {n} exceeds the search maximum {max_order}")
-    d = Fraction(d)
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    two_d = _two_d(d)
+    d, two_d = _validated(n, d, mode, max_results, budget_seconds, max_order)
     if two_d is None:
         return SearchResult(n=n, d=d, mode=mode,
                             two_q_stack=np.empty((0, n, n), dtype=np.int8),
@@ -465,6 +489,61 @@ def exhaustive_search(
                stop, np.diff(marks).round(4).tolist())
     return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
                         complete=complete, elapsed=marks[-1] - started)
+
+
+def count_search(
+    n: int,
+    d,
+    max_results: Optional[int] = None,
+    budget_seconds: Optional[float] = None,
+    max_order: int = DEFAULT_SEARCH_MAX_ORDER,
+) -> SearchCount:
+    """Count the real MPS matrices of order n with ratio d, exactly, without
+    writing them out: ``exhaustive_search(n, d)``'s count and ``complete``.
+
+    The all-mode DFS finds one representative per orbit of the paired sign
+    flips S -> DSD, D = diag(+-1).  The off-diagonal entries are nonzero, so
+    DSD = S forces D = +-I: the group {+-1}^n / +-I acts freely and every
+    orbit has exactly 2^(n-1) members, of which the pinned row 0 picks one.
+    Each block of representatives goes through the exact check _check_two_q,
+    one block at a time, and the count is 2^(n-1) per checked representative,
+    capped at ``max_results``.
+
+    The arguments are validated as in exhaustive_search.  The budget is
+    tested in the DFS and before each block is checked; representatives not
+    checked are not counted, so a budget-stopped count is 2^(n-1) times the
+    checked representatives, with ``complete`` False.  ``complete`` is also
+    False when ``max_results`` is below the total.  Each count logs one DEBUG
+    record on ``mpsmat.search``: the representatives, the count, the stop
+    cause (as in exhaustive_search) and the seconds of DFS and check.
+    """
+    started = time.monotonic()
+    d, two_d = _validated(n, d, "all", max_results, budget_seconds, max_order)
+    if two_d is None:
+        return SearchCount(n=n, d=d, count=0, complete=True,
+                           elapsed=time.monotonic() - started)
+    deadline = math.inf if budget_seconds is None else started + budget_seconds
+    blocks, searched = _dfs(n, _row_plans(n, two_d, "all"), deadline, None)
+    marks = [started, time.monotonic()]
+    flips = 1 << (n - 1)
+    cap = math.inf if max_results is None else max_results
+    found = sum(b.shape[1] for b in blocks)
+    checked = 0
+    for block in blocks:
+        if checked * flips >= cap or time.monotonic() > deadline:
+            break
+        _check_two_q(_decode([block], n, two_d), two_d)
+        checked += block.shape[1]
+    marks.append(time.monotonic())
+    count = min(checked * flips, cap)
+    # The total is counted only if every representative was found and checked.
+    # A budget that cut the DFS has passed before the first check, so then
+    # the count is 0 and max_results (at least 1) is not the stop cause.
+    complete = searched and count == found * flips
+    stop = "complete" if complete else "max_results" if count == max_results else "budget"
+    _log.debug("count n=%d d=%s: %d representatives, %d matrices, stop %s, seconds "
+               "(dfs, check) %s", n, d, found, count, stop, np.diff(marks).round(4).tolist())
+    return SearchCount(n=n, d=d, count=count, complete=complete, elapsed=marks[-1] - started)
 
 
 def naive_search(n: int, d) -> list[IntegerMps]:

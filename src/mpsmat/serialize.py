@@ -220,7 +220,9 @@ def _complex_rows(c: np.ndarray) -> str:
 def write_search_document(fh, n: int, mode: str, results, with_matrices: bool) -> None:
     """Write the ``search`` document to the text stream ``fh``, matrix by matrix.
 
-    ``results`` are the SearchResults of order n, one block per ratio.  The
+    ``results`` are the SearchResults of order n, one block per ratio (or,
+    without ``with_matrices``, anything with ``d``, ``count`` and ``complete``,
+    such as count_search's SearchCounts).  The
     text equals ``json.dumps({"n": n, "mode": mode, "results": blocks},
     indent=2)`` where a block is {"d", "count", "complete"} plus, with
     ``with_matrices``, "matrices": the ``matrix_to_obj`` of each hit.  It is

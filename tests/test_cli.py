@@ -225,6 +225,11 @@ class TestSearch:
         counts = {blk["d"]: blk["count"] for blk in obj["results"]}
         assert counts["3/2"] == 32
 
+    def test_count_only_zero_budget(self, capsys):
+        code, obj = run_json(capsys, "search", "--n", "4", "--budget", "0", "--count-only")
+        assert code == 2
+        assert [(blk["count"], blk["complete"]) for blk in obj["results"]] == [(0, False)] * 3
+
 
 class TestCanonEquiv:
     def test_canon_idempotent(self, capsys, tmp_path):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpsmat import search
+from mpsmat.classify import EXISTS, IMPOSSIBLE_STATUS, necessary_conditions
 from mpsmat.exact import (
     IntegerMps,
+    StructureViolationError,
     Transform,
     encode_matrix,
     full_j_mps,
@@ -33,6 +35,7 @@ from mpsmat.search import (
     candidate_ratios,
     canonical_form,
     canonical_transform,
+    count_search,
     exhaustive_search,
     naive_search,
 )
@@ -281,6 +284,43 @@ def _chunk_ends(n, two_d):
     return np.cumsum([b.shape[1] for b in blocks]).tolist()
 
 
+def _expire_in_the_dfs(monkeypatch, clock):
+    """Small blocks split the last row's states over several calls, and the
+    clock runs out at the second, once some representatives are found."""
+    calls = []
+    real = search._children
+
+    def expiring(rows, *args):
+        calls.append(rows.shape[0])
+        if calls.count(7) == 2:
+            clock[0] = 100.0
+        return real(rows, *args)
+
+    monkeypatch.setattr(search, "_BLOCK", 64)
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(search, "_children", expiring)
+
+
+def _record_checks(monkeypatch, expire=False):
+    """The number of matrices of each _check_two_q call of the search.  With
+    ``expire``, small blocks make several check blocks, and a fake clock
+    runs out after the first."""
+    checked = []
+    clock = [0.0]
+    real = search._check_two_q
+
+    def recording(stack, two_d):
+        real(stack, two_d)
+        checked.append(len(stack))
+        clock[0] = 100.0
+
+    if expire:
+        monkeypatch.setattr(search, "_BLOCK", 64)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(search, "_check_two_q", recording)
+    return checked
+
+
 class TestOrbitExpansion:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_orbits_are_the_sign_flip_classes(self, n):
@@ -335,23 +375,9 @@ class TestOrbitExpansion:
         assert np.array_equal(res.two_q_stack, full[:first])
 
     def test_budget_fires_inside_the_representative_dfs(self, monkeypatch):
-        # Small blocks split the last row's states over several calls, and
-        # the clock runs out at the second, once some representatives are
-        # found: the result is a sorted subset of the complete output.
+        # The result is a sorted subset of the complete output.
         full = {q.tobytes() for q in exhaustive_search(8, 3).two_q_stack}
-        clock = [0.0]
-        calls = []
-        real = search._children
-
-        def expiring(rows, *args):
-            calls.append(rows.shape[0])
-            if calls.count(7) == 2:
-                clock[0] = 100.0
-            return real(rows, *args)
-
-        monkeypatch.setattr(search, "_BLOCK", 64)
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        monkeypatch.setattr(search, "_children", expiring)
+        _expire_in_the_dfs(monkeypatch, [0.0])
         res = exhaustive_search(8, 3, budget_seconds=1.0)
         assert not res.complete and res.count
         hits = res.two_q_stack.tolist()
@@ -359,10 +385,116 @@ class TestOrbitExpansion:
         assert {q.tobytes() for q in res.two_q_stack} <= full
 
 
+class TestCountSearch:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_exhaustive_search(self, n):
+        for d in candidate_ratios(n):
+            total = exhaustive_search(n, d).count
+            for k in (None, 1, total - 1, total, total + 1):
+                if k is not None and k < 1:
+                    continue
+                want = exhaustive_search(n, d, max_results=k)
+                got = count_search(n, d, max_results=k)
+                assert (got.count, got.complete) == (want.count, want.complete), (n, d, k)
+                assert (got.n, got.d) == (n, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_naive_oracle(self, n):
+        for d in candidate_ratios(n):
+            res = count_search(n, d)
+            assert res.complete and res.count == len(naive_search(n, d)), (n, d)
+
+    @pytest.mark.parametrize("n, d, kwargs", [
+        (1, 1, {}), (0, 1, {}), (9, 1, {}), (9, -1, {}), (4, -1, {}),
+        (2, 64, {}), (3, Fraction(255, 2), {}), (1, -1, {"max_results": 0}),
+        (4, 1, {"max_results": 0}), (4, 1, {"max_results": -1}),
+        (1, 1, {"budget_seconds": float("nan")}), (4, 1, {"budget_seconds": float("nan")}),
+        (11, 1, {"max_order": 10}),
+    ])
+    def test_bad_input_raises_as_exhaustive_search(self, n, d, kwargs):
+        with pytest.raises(ValueError) as want:  # TooLargeError is a ValueError
+            exhaustive_search(n, d, **kwargs)
+        with pytest.raises(want.type) as got:
+            count_search(n, d, **kwargs)
+        assert got.type is want.type and str(got.value) == str(want.value)
+
+    def test_off_grid_ratio_counts_nothing(self):
+        res = count_search(6, Fraction(1, 3))
+        assert res.count == 0 and res.complete
+
+    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("row", [1, 7])
+    def test_every_representative_is_checked(self, monkeypatch, which, row):
+        # One sign bit of the first (which = 0) or the last (which = -1)
+        # representative is flipped: at (row, 7) and not at (7, row), or the
+        # diagonal sign of row 7.
+        real = search._dfs
+
+        def corrupted(*args, **kwargs):
+            blocks, complete = real(*args, **kwargs)
+            blocks = [b.copy() for b in blocks]
+            blocks[which][row, which] ^= 1
+            return blocks, complete
+
+        monkeypatch.setattr(search, "_dfs", corrupted)
+        with pytest.raises(StructureViolationError):
+            count_search(8, 3)
+
+    def test_budget_fires_inside_the_dfs(self, monkeypatch):
+        _expire_in_the_dfs(monkeypatch, [0.0])
+        checked = _record_checks(monkeypatch)
+        res = count_search(8, 3, budget_seconds=1.0)
+        assert not res.complete
+        assert res.count == (1 << 7) * sum(checked)
+
+    @pytest.mark.parametrize("max_results", [None, 5000])
+    def test_budget_fires_between_check_blocks(self, monkeypatch, max_results):
+        # A max_results above the checked count does not cap it.
+        checked = _record_checks(monkeypatch, expire=True)
+        reps, _ = _representatives(8, 6)
+        assert len(reps) > 1
+        res = count_search(8, 3, max_results=max_results, budget_seconds=1.0)
+        assert checked == [reps[0].shape[1]]
+        assert not res.complete
+        assert res.count == (1 << 7) * checked[0] < 5000
+
+
+class TestOrdersNineAndTen:
+    """The all-mode classification of n = 9 and 10 through count_search."""
+
+    COUNTS = {
+        9: {Fraction(7, 2): 512},
+        10: {Fraction(0): 2_580_480, Fraction(2): 15_482_880, Fraction(4): 130_048},
+    }
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_counts_and_classifier(self, n):
+        counts = {}
+        for d in candidate_ratios(n):
+            res = count_search(n, d, max_order=n)
+            assert res.complete
+            counts[d] = res.count
+            status = necessary_conditions(n, d).status
+            if status == IMPOSSIBLE_STATUS:
+                assert res.count == 0, (n, d)
+            if status == EXISTS:
+                assert res.count > 0, (n, d)
+        assert {d: c for d, c in counts.items() if c} == self.COUNTS[n]
+
+    def test_open_ratio_is_settled_as_nonempty(self):
+        # The classifier leaves (10, 0) open; COUNTS above holds its count.
+        assert necessary_conditions(10, 0).status not in (EXISTS, IMPOSSIBLE_STATUS)
+        assert self.COUNTS[10][Fraction(0)] > 0
+
+    def test_count_matches_the_listed_matrices(self):
+        listed = exhaustive_search(10, 4, max_order=10).two_q_stack
+        assert len(listed) == count_search(10, 4, max_order=10).count == 130_048
+
+
 class TestSearchLog:
-    def _record(self, caplog, *args, **kwargs):
+    def _record(self, caplog, *args, fn=exhaustive_search, **kwargs):
         caplog.set_level(logging.DEBUG, logger="mpsmat.search")
-        res = exhaustive_search(*args, **kwargs)
+        res = fn(*args, **kwargs)
         records = [r for r in caplog.records if r.name == "mpsmat.search"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         return res, records[0].getMessage()
@@ -408,19 +540,7 @@ class TestSearchLog:
     def test_budget_in_the_dfs_before_max_results(self, caplog, monkeypatch):
         # The budget runs out in the DFS and the first chunk then holds more
         # than max_results hits: the budget stopped the search first.
-        clock = [0.0]
-        calls = []
-        real = search._children
-
-        def expiring(rows, *args):
-            calls.append(rows.shape[0])
-            if calls.count(7) == 2:
-                clock[0] = 100.0
-            return real(rows, *args)
-
-        monkeypatch.setattr(search, "_BLOCK", 64)
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        monkeypatch.setattr(search, "_children", expiring)
+        _expire_in_the_dfs(monkeypatch, [0.0])
         res, message = self._record(caplog, 8, 3, max_results=1, budget_seconds=1.0)
         assert res.count == 1 and not res.complete and "stop budget," in message
 
@@ -438,9 +558,39 @@ class TestSearchLog:
                                     max_results=5, budget_seconds=1.0)
         assert not res.complete and "stop budget," in message
 
+    def test_count_complete(self, caplog):
+        res, message = self._record(caplog, 8, 3, fn=count_search)
+        assert res.complete
+        assert message.startswith("count n=8 d=3: 72 representatives, 9216 matrices, "
+                                  "stop complete, seconds (dfs, check) ")
+        assert len(caplog.records[0].args[-1]) == 2
+        assert all(t >= 0 for t in caplog.records[0].args[-1])
+
+    def test_count_max_results(self, caplog):
+        res, message = self._record(caplog, 6, 2, fn=count_search, max_results=1)
+        assert not res.complete and "1 matrices, stop max_results," in message
+
+    def test_count_budget_in_the_dfs(self, caplog):
+        res, message = self._record(caplog, 8, 1, fn=count_search, budget_seconds=0.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_count_budget_in_the_dfs_before_max_results(self, caplog, monkeypatch):
+        _expire_in_the_dfs(monkeypatch, [0.0])
+        res, message = self._record(caplog, 8, 3, fn=count_search, max_results=1,
+                                    budget_seconds=1.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_count_budget_in_the_check(self, caplog, monkeypatch):
+        _record_checks(monkeypatch, expire=True)
+        res, message = self._record(caplog, 8, 3, fn=count_search, max_results=5000,
+                                    budget_seconds=1.0)
+        assert not res.complete and "stop budget," in message
+
     def test_silent_by_default(self, caplog, capsys):
         exhaustive_search(6, 2)
         exhaustive_search(6, 2, mode="up_to_equivalence", max_results=1)
+        count_search(6, 2)
+        count_search(6, 2, max_results=1)
         assert not caplog.records
         assert capsys.readouterr() == ("", "")
 
