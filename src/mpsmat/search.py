@@ -14,7 +14,8 @@ the diagonal.  The orbits are written out by XOR masks on the sign words and
 sorted chunk by chunk, decoded to the int8 2Q stack once, and every hit goes
 through IntegerMps's exact check, _check_two_q.  count_search counts the
 matrices without writing the orbits out: every orbit has exactly 2^(n-1)
-members, so it checks the representatives and counts 2^(n-1) for each.
+members, so it checks the representatives as the DFS yields them and counts
+2^(n-1) for each.
 
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
@@ -48,7 +49,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -102,6 +103,10 @@ _POPCOUNT16 = _popcount_table()
 
 #: Hits per chunk of _orbits; _decode's temporaries, and so peak memory, grow with it.
 _CHUNK = 1 << 11
+
+#: Largest order the search tables are built for: at order 20 the last row's _radii
+#: is 76 MB of int16, built through int64 temporaries, and the search peaks at 1.35 GB.
+_KERNEL_MAX_ORDER = 20
 
 #: Largest order naive_search enumerates; its 2^(n(n+1)/2) patterns grow fast.
 _NAIVE_MAX_ORDER = 6
@@ -316,70 +321,103 @@ def _children(rows: np.ndarray, n: int, row: _Row) -> np.ndarray:
     return out
 
 
-def _dfs(n: int, plans: list[list[_Row]], deadline: float,
-         max_results: Optional[int]) -> tuple[list[np.ndarray], bool]:
-    """Depth-first block search over all row plans, in plan order.
+class _Search:
+    """One search's checked arguments, its deadline and its row-plan DFS, and
+    why it stopped: ``stop`` is ``complete`` unless a cause cut it short."""
 
-    A block holds states as columns: row words (r, states).  Returns the hit
-    blocks, (n, hits), in ascending order within each plan, and whether the
-    search ran to its end: it stops when the deadline passes, when
-    ``max_results`` hits are taken, or when the stack is empty.  In ``all``
-    mode the hits are orbit representatives, and _orbits or count_search
-    applies max_results.
-    """
-    results: list[np.ndarray] = []
-    found = 0
-    # Hits wait for _decode in the narrowest unsigned type of n bits, since a
-    # large all-mode search holds all of them at once.
-    word = np.min_scalar_type((1 << n) - 1)
-    stack = [(0, plan, np.zeros((0, 1), dtype=np.int64)) for plan in reversed(plans)]
-    while stack:
-        if time.monotonic() > deadline:
-            return results, False
-        r, plan, block = stack.pop()
-        if r == n:
-            if max_results is not None and found + block.shape[1] >= max_results:
-                take = max_results - found
-                results.append(block[:, :take].astype(word))
-                return results, not stack and take == block.shape[1]
-            results.append(block.astype(word))
-            found += block.shape[1]
-            continue
-        limit = max(1, _BLOCK // (len(plan[r].diag) << (n - 1 - r)))
-        pieces = [_children(block[:, lo:lo + limit], n, plan[r])
-                  for lo in range(0, block.shape[1], limit)]
-        # Pushed last to first, so the blocks pop in ascending order.
-        stack.extend((r + 1, plan, child) for child in reversed(pieces) if child.shape[1])
-    return results, True
+    def __init__(self, n: int, d, mode: str, max_results: Optional[int],
+                 budget_seconds: Optional[float], max_order: int) -> None:
+        self.started = time.monotonic()
+        if mode not in ("all", "up_to_equivalence"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if max_results is not None and max_results < 1:
+            raise ValueError("max_results must be at least 1")
+        if budget_seconds is not None and math.isnan(budget_seconds):
+            raise ValueError("budget_seconds must be a number, not NaN")
+        if n < 2:
+            raise ValueError("order must be at least 2")
+        largest = min(max_order, _KERNEL_MAX_ORDER)
+        if n > largest:
+            raise TooLargeError(f"order {n} exceeds the search maximum {largest}")
+        self.d = Fraction(d)
+        if self.d < 0:
+            raise ValueError("d must be non-negative")
+        self.two_d = _two_d(self.d)
+        self.n, self.mode, self.max_results, self.stop = n, mode, max_results, "complete"
+        self.deadline = math.inf if budget_seconds is None else self.started + budget_seconds
+
+    def expired(self) -> bool:
+        """Whether the deadline has passed, which makes the budget the cause."""
+        if time.monotonic() > self.deadline:
+            self.stop = "budget"
+        return self.stop == "budget"
+
+    def leaves(self) -> Iterator[np.ndarray]:
+        """Depth-first block search over the mode's row plans, in plan order:
+        a block holds states as columns, row words (r, states).  Yields the hit
+        blocks, (n, hits) ascending within each plan, in the narrowest unsigned
+        type of n bits, since a full listing holds them all.  It stops when the
+        deadline passes, the standard form's ``max_results`` hits are taken or
+        the stack is empty; _orbits and count_search cut the all-mode hits."""
+        if self.two_d is None:
+            return
+        n, found = self.n, 0
+        limit = None if self.mode == "all" else self.max_results
+        word = np.min_scalar_type((1 << n) - 1)
+        stack = [(0, plan, np.zeros((0, 1), dtype=np.int64))
+                 for plan in reversed(_row_plans(n, self.two_d, self.mode))]
+        while stack and not self.expired():
+            r, plan, block = stack.pop()
+            if r == n:
+                if limit is not None and found + block.shape[1] >= limit:
+                    if stack or found + block.shape[1] > limit:
+                        self.stop = "max_results"
+                    yield block[:, :limit - found].astype(word)
+                    return
+                found += block.shape[1]
+                yield block.astype(word)
+                continue
+            step = max(1, _BLOCK // (len(plan[r].diag) << (n - 1 - r)))
+            pieces = [_children(block[:, lo:lo + step], n, plan[r])
+                      for lo in range(0, block.shape[1], step)]
+            # Pushed last to first, so the blocks pop in ascending order.
+            stack.extend((r + 1, plan, child) for child in reversed(pieces) if child.shape[1])
+
+    def log(self, label: str, found: int, count: int, phases: str, seconds) -> None:
+        """The search's one DEBUG record on ``mpsmat.search``."""
+        _log.debug("%s: %d representatives, %d matrices, stop %s, seconds (%s) %s", label,
+                   found, count, self.stop, phases, np.round(seconds, 4).tolist())
 
 
-def _orbits(reps: list[np.ndarray], n: int, max_results: Optional[int],
-            deadline: float) -> tuple[list[np.ndarray], bool]:
+def _orbits(reps: list[np.ndarray], search: _Search) -> list[np.ndarray]:
     """The orbits DRD, D = diag(+-1), of the ascending representative blocks
-    ``reps`` in output order, and whether all were written (it stops at
-    ``max_results`` hits, or between chunks after the deadline).  Flip word F
+    ``reps`` in output order.  It stops at ``max_results`` hits, or between
+    chunks after the deadline, and records why on ``search``.  Flip word F
     has bit n-1-c set where D_cc = -1, D_00 = +1.  Row i of DRD is row i XOR F,
     or XOR ~F where D_ii = -1, so row 0 is (diagonal bit, F): the output runs
     through F for the +d representatives, then the -d, one lexsort per chunk.
     """
+    n = search.n
     reps = np.concatenate(reps or [np.empty((n, 0), np.uint8)], axis=1)
     flips, full = 1 << (n - 1), (1 << n) - 1
     total, found = reps.shape[1] * flips, 0
-    cap = min(max_results or total, total)
+    cap = min(search.max_results or total, total)
     blocks: list[np.ndarray] = []
     for group in (g for g in np.split(reps, [np.count_nonzero(reps[0] == 0)], axis=1) if g.size):
         step = max(1, _CHUNK // group.shape[1])
         for lo in range(0, flips, step):
-            if blocks and time.monotonic() > deadline:
-                return blocks, False
+            if blocks and search.expired():
+                return blocks
             f = np.arange(lo, min(lo + step, flips))
             masks = (f ^ ((f >> (n - 1 - np.arange(n))[:, None]) & 1) * full).astype(reps.dtype)
             hits = (group[:, None, :] ^ masks[:, :, None]).reshape(n, -1)
             blocks.append(hits[:, np.lexsort(hits[::-1])][:, :cap - found])
             found += blocks[-1].shape[1]
-            if found == cap:
-                return blocks, cap == total
-    return blocks, True
+            if found == cap < total:
+                if search.stop == "complete":  # a budget that cut the DFS stays the cause
+                    search.stop = "max_results"
+                return blocks
+    return blocks
 
 
 def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
@@ -399,26 +437,6 @@ def _decode(blocks: list[np.ndarray], n: int, two_d: int) -> np.ndarray:
         stack[at:at + block.shape[1]] = signs
         at += block.shape[1]
     return stack
-
-
-def _validated(n: int, d, mode: str, max_results: Optional[int],
-               budget_seconds: Optional[float], max_order: int) -> tuple[Fraction, Optional[int]]:
-    """The search arguments checked in a fixed order, as (d, 2d); 2d is None
-    off the half-integer grid, where there is nothing to find."""
-    if mode not in ("all", "up_to_equivalence"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if max_results is not None and max_results < 1:
-        raise ValueError("max_results must be at least 1")
-    if budget_seconds is not None and math.isnan(budget_seconds):
-        raise ValueError("budget_seconds must be a number, not NaN")
-    if n < 2:
-        raise ValueError("order must be at least 2")
-    if n > max_order:
-        raise TooLargeError(f"order {n} exceeds the search maximum {max_order}")
-    d = Fraction(d)
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    return d, _two_d(d)
 
 
 def exhaustive_search(
@@ -449,46 +467,33 @@ def exhaustive_search(
     Each search logs one DEBUG record on ``mpsmat.search``: phase times, counts
     and the stop cause (``complete``, ``budget`` or ``max_results``).
     """
-    started = time.monotonic()
-    d, two_d = _validated(n, d, mode, max_results, budget_seconds, max_order)
-    if two_d is None:
-        return SearchResult(n=n, d=d, mode=mode,
-                            two_q_stack=np.empty((0, n, n), dtype=np.int8),
-                            complete=True, elapsed=time.monotonic() - started)
-    deadline = math.inf if budget_seconds is None else started + budget_seconds
-    limit = None if mode == "all" else max_results
-    blocks, complete = _dfs(n, _row_plans(n, two_d, mode), deadline, limit)
+    search = _Search(n, d, mode, max_results, budget_seconds, max_order)
+    blocks = list(search.leaves())
     found = sum(b.shape[1] for b in blocks)
-    marks = [started, time.monotonic()]
-    # max_results stopped the search iff exactly that many hits came out,
-    # unless the budget had already cut the all-mode DFS.
-    cut = max_results if complete or limit else None
+    marks = [search.started, time.monotonic()]
     if mode == "all":
-        blocks, expanded = _orbits(blocks, n, max_results, deadline)
-        complete &= expanded
+        blocks = _orbits(blocks, search)
     marks.append(time.monotonic())
-    stack = _decode(blocks, n, two_d)
+    stack = _decode(blocks, n, search.two_d)
     marks.append(time.monotonic())
-    stop = "complete" if complete else "max_results" if len(stack) == cut else "budget"
 
     if mode == "up_to_equivalence":
         reps: dict[bytes, np.ndarray] = {}
         for q in stack:
-            if time.monotonic() > deadline:
-                complete, stop = False, "budget"
+            if search.expired():
                 break
-            cf, _ = canonical_transform(IntegerMps(d=d, two_q=q.astype(np.int64)))
+            cf, _ = canonical_transform(IntegerMps(d=search.d, two_q=q.astype(np.int64)))
             reps.setdefault(cf.encode(), cf.two_q.astype(np.int8))
         # The keys are the row-major codes, so byte order is output order.
         stack = np.array([reps[key] for key in sorted(reps)], dtype=np.int8).reshape(-1, n, n)
     marks.append(time.monotonic())
-    _check_two_q(stack, two_d)
+    if len(stack):  # off the half-integer grid there is no 2d and no hit
+        _check_two_q(stack, search.two_d)
     marks.append(time.monotonic())
-    _log.debug("search n=%d d=%s mode=%s: %d representatives, %d matrices, stop %s, seconds "
-               "(dfs, expand, decode, canonicalize, check) %s", n, d, mode, found, len(stack),
-               stop, np.diff(marks).round(4).tolist())
-    return SearchResult(n=n, d=d, mode=mode, two_q_stack=stack,
-                        complete=complete, elapsed=marks[-1] - started)
+    search.log(f"search n={n} d={search.d} mode={mode}", found, len(stack),
+               "dfs, expand, decode, canonicalize, check", np.diff(marks))
+    return SearchResult(n=n, d=search.d, mode=mode, two_q_stack=stack,
+                        complete=search.stop == "complete", elapsed=marks[-1] - search.started)
 
 
 def count_search(
@@ -505,45 +510,40 @@ def count_search(
     flips S -> DSD, D = diag(+-1).  The off-diagonal entries are nonzero, so
     DSD = S forces D = +-I: the group {+-1}^n / +-I acts freely and every
     orbit has exactly 2^(n-1) members, of which the pinned row 0 picks one.
-    Each block of representatives goes through the exact check _check_two_q,
-    one block at a time, and the count is 2^(n-1) per checked representative,
-    capped at ``max_results``.
+    Each block of representatives goes through the exact check _check_two_q
+    as the DFS yields it and is then dropped, so memory follows the DFS stack,
+    not the number of orbits.  The count is 2^(n-1) per checked
+    representative, capped at ``max_results``.
 
     The arguments are validated as in exhaustive_search.  The budget is
-    tested in the DFS and before each block is checked; representatives not
-    checked are not counted, so a budget-stopped count is 2^(n-1) times the
-    checked representatives, with ``complete`` False.  ``complete`` is also
-    False when ``max_results`` is below the total.  Each count logs one DEBUG
-    record on ``mpsmat.search``: the representatives, the count, the stop
-    cause (as in exhaustive_search) and the seconds of DFS and check.
+    tested at every step of the DFS, so a budget-stopped count is 2^(n-1)
+    times the representatives found, and checked, before the cut, with
+    ``complete`` False.  ``complete`` is also False when ``max_results`` is
+    below the total.  Each count logs one DEBUG record on ``mpsmat.search``:
+    the representatives, the count, the stop cause (as in exhaustive_search)
+    and the seconds of DFS and check.
     """
-    started = time.monotonic()
-    d, two_d = _validated(n, d, "all", max_results, budget_seconds, max_order)
-    if two_d is None:
-        return SearchCount(n=n, d=d, count=0, complete=True,
-                           elapsed=time.monotonic() - started)
-    deadline = math.inf if budget_seconds is None else started + budget_seconds
-    blocks, searched = _dfs(n, _row_plans(n, two_d, "all"), deadline, None)
-    marks = [started, time.monotonic()]
+    search = _Search(n, d, "all", max_results, budget_seconds, max_order)
     flips = 1 << (n - 1)
     cap = math.inf if max_results is None else max_results
-    found = sum(b.shape[1] for b in blocks)
-    checked = 0
-    for block in blocks:
-        if checked * flips >= cap or time.monotonic() > deadline:
-            break
-        _check_two_q(_decode([block], n, two_d), two_d)
-        checked += block.shape[1]
-    marks.append(time.monotonic())
+    found, checked, check_seconds = 0, 0, 0.0
+    for block in search.leaves():
+        found += block.shape[1]
+        # The DFS runs on past the cap: only a representative found beyond it
+        # shows that max_results, and not the end of the search, cut the count.
+        if checked * flips < cap:
+            mark = time.monotonic()
+            _check_two_q(_decode([block], n, search.two_d), search.two_d)
+            check_seconds += time.monotonic() - mark
+            checked += block.shape[1]
+        if found * flips > cap:
+            search.stop = "max_results"
+    elapsed = time.monotonic() - search.started
     count = min(checked * flips, cap)
-    # The total is counted only if every representative was found and checked.
-    # A budget that cut the DFS has passed before the first check, so then
-    # the count is 0 and max_results (at least 1) is not the stop cause.
-    complete = searched and count == found * flips
-    stop = "complete" if complete else "max_results" if count == max_results else "budget"
-    _log.debug("count n=%d d=%s: %d representatives, %d matrices, stop %s, seconds "
-               "(dfs, check) %s", n, d, found, count, stop, np.diff(marks).round(4).tolist())
-    return SearchCount(n=n, d=d, count=count, complete=complete, elapsed=marks[-1] - started)
+    search.log(f"count n={n} d={search.d}", found, count, "dfs, check",
+               [elapsed - check_seconds, check_seconds])
+    return SearchCount(n=n, d=search.d, count=count, complete=search.stop == "complete",
+                       elapsed=elapsed)
 
 
 def naive_search(n: int, d) -> list[IntegerMps]:

@@ -215,6 +215,19 @@ class TestSearch:
         code = main(["search", "--n", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "40", "--max-order", "40", "--d", "19", "--count-only", "--budget", "1"],
+        ["--n", "64", "--max-order", "64", "--d", "31", "--budget", "2"],
+    ])
+    def test_order_past_the_search_kernel_exit(self, argv, subprocess_env):
+        # An explicit --max-order does not lift the kernel's own order limit,
+        # which is checked before any search table is built.
+        proc = subprocess.run([sys.executable, "-m", "mpsmat.cli", "search", *argv],
+                              capture_output=True, text=True, env=subprocess_env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: order {argv[1]} exceeds the search maximum 20\n"
+        assert proc.stdout == ""
+
     def test_ratio_beyond_the_int8_stack_exit(self, capsys):
         assert main(["search", "--n", "4", "--d", "40000"]) == 2
 

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import logging
-import math
 import subprocess
 import sys
 import textwrap
@@ -28,9 +27,8 @@ from mpsmat.exact import (
 from mpsmat.search import (
     TooLargeError,
     _decode,
-    _dfs,
     _orbits,
-    _row_plans,
+    _Search,
     are_equivalent,
     candidate_ratios,
     canonical_form,
@@ -203,23 +201,26 @@ class TestHitOrder:
         assert np.array_equal(encode_matrix(nested), codes.reshape(2, -1, n * n))
 
 
+def _search(n, d, mode="all", max_results=None):
+    """The _Search of one search without a budget, and the leaf blocks of its DFS."""
+    searcher = _Search(n, d, mode, max_results, None, n)
+    return searcher, list(searcher.leaves())
+
+
 def _dfs_hits(n, d, mode, max_results):
     """Raw hits of the one DFS over every row plan of the mode, in DFS order;
     in ``all`` mode the DFS finds the orbit representatives and _orbits
     writes their orbits out, cut at ``max_results``."""
-    plans = _row_plans(n, int(2 * d), mode)
+    searcher, pieces = _search(n, d, mode, max_results)
     if mode == "all":
-        reps, complete = _dfs(n, plans, math.inf, None)
-        pieces, expanded = _orbits(reps, n, max_results, math.inf)
-        complete = complete and expanded
-    else:
-        pieces, complete = _dfs(n, plans, math.inf, max_results)
-    return [q.tobytes() for q in _decode(pieces, n, int(2 * d))], complete
+        pieces = _orbits(pieces, searcher)
+    return [q.tobytes() for q in _decode(pieces, n, int(2 * d))], searcher.stop == "complete"
 
 
 class TestStopConditions:
-    @pytest.mark.parametrize("mode", ["all", "up_to_equivalence"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n, mode", [(n, mode) for n in range(2, 8)
+                                         for mode in ("all", "up_to_equivalence")]
+                             + [(8, "up_to_equivalence")])
     def test_max_results_truncates_the_same_hits(self, n, mode):
         for d in candidate_ratios(n):
             full, complete = _dfs_hits(n, d, mode, None)
@@ -233,10 +234,10 @@ class TestStopConditions:
                 hits, complete = _dfs_hits(n, d, mode, k)
                 assert len(hits) == min(k, len(full))
                 assert hits == full[:len(hits)]
-                if k < len(full):
-                    assert not complete
-                if k > len(full):
-                    assert complete
+                # All mode runs its DFS to the end.  The standard-form DFS stops
+                # at the k-th hit, so at k == total it is complete only if no
+                # branch is left: (8, 1) has branches past its last hit.
+                assert complete == (k > len(full) or k == len(full) and (n, d) != (8, 1))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_truncated_search_reports_a_subset(self, n):
@@ -248,8 +249,9 @@ class TestStopConditions:
                 for k in range(1, total + 2):
                     res = exhaustive_search(n, d, mode=mode, max_results=k)
                     assert {q.tobytes() for q in res.two_q_stack} <= forms
-                    if k != total:
-                        assert res.complete == (k > total)
+                    # No standard-form DFS of order 7 or less has a branch
+                    # left past its last hit.
+                    assert res.complete == (k >= total)
                     if mode == "all":
                         assert res.count == min(k, total)
 
@@ -266,22 +268,37 @@ class TestStopConditions:
     @pytest.mark.parametrize("n, d, word", [(2, 0, np.uint8), (8, 3, np.uint8),
                                             (9, Fraction(7, 2), np.uint16)])
     def test_hit_words_are_the_narrowest_unsigned_type(self, n, d, word):
-        for max_results in (None, 3):
-            pieces, _ = _dfs(n, _row_plans(n, int(2 * d), "all"), math.inf, max_results)
+        # The standard form at max_results 1 takes its hit through the cut.
+        for mode, max_results in (("all", None), ("up_to_equivalence", 1)):
+            _, pieces = _search(n, d, mode, max_results)
             assert pieces and all(p.dtype == word and p.shape[0] == n for p in pieces)
 
 
 def _representatives(n, two_d):
     """The all-mode DFS hit blocks, one per sign-flip orbit, and their int8 2Q stack."""
-    reps, complete = _dfs(n, _row_plans(n, two_d, "all"), math.inf, None)
-    assert complete
+    searcher, reps = _search(n, Fraction(two_d, 2))
+    assert searcher.stop == "complete"
     return reps, _decode(reps, n, two_d)
 
 
 def _chunk_ends(n, two_d):
     """Hit count after each chunk of the orbit expansion."""
-    blocks, _ = _orbits(_representatives(n, two_d)[0], n, None, math.inf)
+    searcher, reps = _search(n, Fraction(two_d, 2))
+    blocks = _orbits(reps, searcher)
     return np.cumsum([b.shape[1] for b in blocks]).tolist()
+
+
+def _expire_after_the_dfs(monkeypatch):
+    """The clock stands still through the DFS and runs out when it ends."""
+    clock = [0.0]
+    real = _Search.leaves
+
+    def expiring(self):
+        yield from real(self)
+        clock[0] = 100.0
+
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(_Search, "leaves", expiring)
 
 
 def _expire_in_the_dfs(monkeypatch, clock):
@@ -360,16 +377,7 @@ class TestOrbitExpansion:
         full = exhaustive_search(8, 3).two_q_stack
         first = _chunk_ends(8, 6)[0]
         assert first < len(full)
-        clock = [0.0]
-        real = search._dfs
-
-        def expiring(*args, **kwargs):
-            out = real(*args, **kwargs)
-            clock[0] = 100.0
-            return out
-
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        monkeypatch.setattr(search, "_dfs", expiring)
+        _expire_after_the_dfs(monkeypatch)
         res = exhaustive_search(8, 3, budget_seconds=1.0)
         assert not res.complete
         assert np.array_equal(res.two_q_stack, full[:first])
@@ -428,24 +436,34 @@ class TestCountSearch:
         # One sign bit of the first (which = 0) or the last (which = -1)
         # representative is flipped: at (row, 7) and not at (7, row), or the
         # diagonal sign of row 7.
-        real = search._dfs
+        real = _Search.leaves
 
-        def corrupted(*args, **kwargs):
-            blocks, complete = real(*args, **kwargs)
-            blocks = [b.copy() for b in blocks]
+        def corrupted(self):
+            blocks = [b.copy() for b in real(self)]
             blocks[which][row, which] ^= 1
-            return blocks, complete
+            yield from blocks
 
-        monkeypatch.setattr(search, "_dfs", corrupted)
+        monkeypatch.setattr(_Search, "leaves", corrupted)
         with pytest.raises(StructureViolationError):
             count_search(8, 3)
 
     def test_budget_fires_inside_the_dfs(self, monkeypatch):
-        _expire_in_the_dfs(monkeypatch, [0.0])
+        # The representatives found before the cut were checked, each block
+        # while the DFS still ran, and counted.
+        clock = [0.0]
+        _expire_in_the_dfs(monkeypatch, clock)
         checked = _record_checks(monkeypatch)
+        real, clocks = search._check_two_q, []
+
+        def timed(stack, two_d):
+            clocks.append(clock[0])
+            real(stack, two_d)
+
+        monkeypatch.setattr(search, "_check_two_q", timed)
         res = count_search(8, 3, budget_seconds=1.0)
         assert not res.complete
-        assert res.count == (1 << 7) * sum(checked)
+        assert checked and clocks == [0.0] * len(checked)
+        assert res.count == (1 << 7) * sum(checked) > 0
 
     @pytest.mark.parametrize("max_results", [None, 5000])
     def test_budget_fires_between_check_blocks(self, monkeypatch, max_results):
@@ -523,16 +541,7 @@ class TestSearchLog:
         assert not res.complete and "stop budget," in message
 
     def test_budget_in_the_expansion(self, caplog, monkeypatch):
-        clock = [0.0]
-        real = search._dfs
-
-        def expiring(*args, **kwargs):
-            out = real(*args, **kwargs)
-            clock[0] = 100.0
-            return out
-
-        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: clock[0]))
-        monkeypatch.setattr(search, "_dfs", expiring)
+        _expire_after_the_dfs(monkeypatch)
         # max_results is not reached, so the budget is the cause.
         res, message = self._record(caplog, 8, 3, max_results=5000, budget_seconds=1.0)
         assert not res.complete and "stop budget," in message
@@ -714,9 +723,8 @@ def _assert_matches_scan(m):
 
 def _standard_form_hits(n, d):
     """Every raw standard-form hit of the search, before canonicalization."""
-    pieces, complete = _dfs(n, _row_plans(n, int(2 * d), "up_to_equivalence"),
-                            math.inf, None)
-    assert complete
+    searcher, pieces = _search(n, d, "up_to_equivalence")
+    assert searcher.stop == "complete"
     for q in _decode(pieces, n, int(2 * d)):
         yield IntegerMps(d=d, two_q=q.astype(np.int64))
 

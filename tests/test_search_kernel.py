@@ -8,7 +8,6 @@ the orbit expansion.  The sign-word search must reproduce its sorted output
 bit for bit.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +17,7 @@ from mpsmat import search
 from mpsmat.exact import encode_matrix
 from mpsmat.search import (
     _decode,
-    _dfs,
-    _row_plans,
+    _Search,
     candidate_ratios,
     exhaustive_search,
 )
@@ -125,8 +123,9 @@ def test_all_mode_is_the_reference_bit_for_bit(n, two_ds):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_standard_form_hits_are_the_references(n):
     for two_d in _two_ds(n):
-        blocks, complete = _dfs(n, _row_plans(n, two_d, "up_to_equivalence"), math.inf, None)
-        assert complete
+        searcher = _Search(n, Fraction(two_d, 2), "up_to_equivalence", None, None, n)
+        blocks = list(searcher.leaves())
+        assert searcher.stop == "complete"
         got = sorted(q.tobytes() for q in _decode(blocks, n, two_d))
         want = sorted(q.tobytes() for q in _ref_hits(n, two_d, "up_to_equivalence"))
         assert got == want, (n, two_d)
