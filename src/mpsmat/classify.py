@@ -1,30 +1,16 @@
 """Existence classification for real MPS matrices M_n^R(d).
 
-necessary_conditions applies the exact exclusion rules in a fixed order, each
-an integer comparison on d = p/q in lowest terms, and, when none fires, tries
-to attach a constructed witness:
-
-  range-of-r            d > n/2 - 1 with n > 2
-  small-n               n in {3, 4, 5} and d != n/2 - 1
-  real-parity           d < n/2 - 1 with n odd, d not a non-negative
-                        integer, or n/2 + d even
-  design-gap            n/6 - 1 < d < n/4 - 3/2 (no matrix exists there)
-  design-nonexistence   d in [n/4 - 3/2, n/2 - 1) but no integer design
-                        parameters (q, k, lam) fit (n, d)
-
-Witnesses are the real members of the registry ``families.FAMILIES``, tried
-in its order (full-J, the 2x2 family, the real interval endpoints, conference
-blocks, and the design construction with the built-in providers), then
-conference matrices at d = 0.  Surviving pairs without a
-provider-backed witness are reported ``open``: either the reduction to a
-symmetric design succeeded but no such design is available here, or the pair
-lies in the small-ratio region the theory does not settle.
+necessary_conditions gives the verdict of the first row of one ordered rule
+table, ``_TABLE``, that decides: the exact exclusion rules (integer comparisons
+on d = p/q in lowest terms), the witnesses (real members of the registry
+``families.FAMILIES``, conference matrices at d = 0), then the open pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .designs import design_params_for, provider_conference, provider_design
@@ -32,18 +18,9 @@ from .exact import IntegerMps, conference_mps
 from .families import FAMILIES
 
 __all__ = [
-    "EXISTS",
-    "IMPOSSIBLE_STATUS",
-    "OPEN",
-    "RULE_RANGE_OF_R",
-    "RULE_SMALL_N",
-    "RULE_REAL_PARITY",
-    "RULE_DESIGN_GAP",
-    "RULE_DESIGN_NONEXISTENCE",
-    "Verdict",
-    "necessary_conditions",
-    "provider_design",
-    "provider_conference",
+    "EXISTS", "IMPOSSIBLE_STATUS", "OPEN", "Verdict", "necessary_conditions",
+    "RULE_RANGE_OF_R", "RULE_SMALL_N", "RULE_REAL_PARITY", "RULE_DESIGN_GAP",
+    "RULE_DESIGN_NONEXISTENCE", "provider_design", "provider_conference",
 ]
 
 EXISTS = "exists_with_witness"
@@ -74,93 +51,111 @@ class Verdict:
     detail: str = ""
 
     def __post_init__(self):
-        if self.status == IMPOSSIBLE_STATUS:
-            allowed = {
-                RULE_RANGE_OF_R,
-                RULE_SMALL_N,
-                RULE_REAL_PARITY,
-                RULE_DESIGN_GAP,
-                RULE_DESIGN_NONEXISTENCE,
-            }
-            if self.rule not in allowed:
-                raise ValueError(f"impossible verdict must cite one of {allowed}")
+        if self.status == IMPOSSIBLE_STATUS and self.rule not in _EXCLUSIONS:
+            raise ValueError(f"impossible verdict must cite one of {sorted(_EXCLUSIONS)}")
 
 
-#: Witness rule of each family with real members.
-_RULES = {"full_j": "full-j", "n2": "two-by-two", "upper_interval": "interval-endpoint",
-          "conference_block": "conference-block", "design_real": "design"}
+class _Pair:
+    """(n, d) as the rules read it.  d = p/q in lowest terms with q >= 1, so
+    every rule is an integer comparison: d against n/2 - 1 is 2p against
+    ``edge`` = (n - 2)q, and the design range is the integers d in
+    [n/4 - 3/2, n/2 - 1)."""
+
+    def __init__(self, n: int, d: Fraction) -> None:
+        self.n, self.d, self.p, self.q = n, d, d.numerator, d.denominator
+        self.edge = (n - 2) * self.q
+        self.design_range = self.q == 1 and n - 6 <= 4 * self.p and 2 * self.p < self.edge
+
+    @cached_property
+    def params(self):
+        """The design parameters (q, k, lam) that fit (n, d), if any.  Read
+        only past real-parity, which leaves the design range to even n >= 6."""
+        return design_params_for(self.n, self.p) if self.design_range else None
 
 
-def _witness(n: int, d: Fraction) -> Optional[tuple[str, IntegerMps, str]]:
-    """Try the registry's families in order, then a conference matrix of
-    order n at d = 0; (rule, witness, note)."""
-    for name, family in FAMILIES.items():
-        witness = family.exact(n, d)
-        if witness is not None:
-            return _RULES[name], witness, ""
-    if n == 2:
-        return "two-by-two", None, "2x2 family exists for every d >= 0"
-    if d == 0:
-        c = provider_conference(n)
-        if c is not None:
-            return "conference", conference_mps(c), ""
-    return None
+def _member(family: str, x: _Pair, aux=None):
+    """("", witness) for the real member of a registry family at (n, d), if any."""
+    witness = FAMILIES[family].exact(x.n, x.d, aux)
+    return None if witness is None else ("", witness)
+
+
+def _real_parity(x: _Pair):
+    if 2 * x.p >= x.edge:
+        return None
+    if x.n % 2 == 1:
+        return "odd order admits only d = n/2 - 1", None
+    if x.q != 1:
+        return "below n/2 - 1 the ratio must be an integer", None
+    return ("n/2 + d must be odd", None) if (x.n // 2 + x.p) % 2 == 0 else None
+
+
+def _interval_endpoint(x: _Pair):
+    found = _member("upper_interval", x)
+    # Below n/2 - 1 the endpoint is d = n/2 - 3, whose design has lam = 0.
+    if found and x.params is not None and x.params.lam == 0:
+        return f"existence rests on the degenerate ({x.n // 2}, 1, 0)-design (lam = 0)", found[1]
+    return found
+
+
+def _design(x: _Pair):
+    design = None if x.params is None else provider_design(x.n // 2, x.params.k, x.params.lam)
+    return None if design is None else _member("design_real", x, design)
+
+
+def _conference(x: _Pair):
+    c = provider_conference(x.n) if x.d == 0 else None
+    return None if c is None else ("", conference_mps(c))
+
+
+#: The rules in the order they are tried, (rule, status, test): a test sees a
+#: pair that no earlier row decided and returns None, or the verdict's
+#: (detail, witness).  The last row decides every pair.
+_TABLE = (
+    (RULE_RANGE_OF_R, IMPOSSIBLE_STATUS,
+     lambda x: ("", None) if x.n > 2 and 2 * x.p > x.edge else None),
+    (RULE_SMALL_N, IMPOSSIBLE_STATUS,
+     lambda x: ("", None) if x.n in (3, 4, 5) and 2 * x.p != x.edge else None),
+    (RULE_REAL_PARITY, IMPOSSIBLE_STATUS, _real_parity),
+    # n/6 - 1 < d < n/4 - 3/2, times 6 and 4: below n/2 - 1, where d is now an integer.
+    (RULE_DESIGN_GAP, IMPOSSIBLE_STATUS,
+     lambda x: ("", None) if x.n - 6 < 6 * x.p and 4 * x.p < x.n - 6 else None),
+    (RULE_DESIGN_NONEXISTENCE, IMPOSSIBLE_STATUS,
+     lambda x: ("", None) if x.design_range and x.params is None else None),
+    ("full-j", EXISTS, lambda x: _member("full_j", x)),
+    # Past the exact member's reach, the float 2 x 2 family still exists.
+    ("two-by-two", EXISTS, lambda x: None if x.n != 2 else
+     _member("n2", x) or ("2x2 family exists for every d >= 0", None)),
+    ("interval-endpoint", EXISTS, _interval_endpoint),
+    ("conference-block", EXISTS, lambda x: _member("conference_block", x)),
+    ("design", EXISTS, _design),
+    ("conference", EXISTS, _conference),
+    ("design-required", OPEN, lambda x: None if x.params is None else (
+        f"reduces to a symmetric ({x.n // 2}, {x.params.k}, {x.params.lam})-design; "
+        "no provider supplies one", None)),
+    ("unclassified", OPEN, lambda x: ("no rule excludes this pair and no family covers it", None)),
+)
+
+_EXCLUSIONS = frozenset(rule for rule, status, _ in _TABLE if status == IMPOSSIBLE_STATUS)
 
 
 def necessary_conditions(n: int, d) -> Verdict:
-    """Classify (n, d): impossible with a citing rule, exists with a witness,
-    or open.
-
-    The exclusion rules run in the fixed order documented in the module
-    docstring, as exact integer comparisons on d = p/q in lowest terms.
-    """
+    """Classify (n, d) by the first row of ``_TABLE`` that decides: impossible
+    with a citing rule, exists with a witness, or open."""
     if n < 2:
         raise ValueError("order must be at least 2")
-    d = Fraction(d)
-    # d = p/q in lowest terms with q >= 1, so every rule is an integer
-    # comparison: d against n/2 - 1 is 2p against (n - 2)q.
-    p, q = d.numerator, d.denominator
-    if p < 0:
+    # Fraction(d) of a Fraction costs a microsecond, a fifth of a classify.
+    d = d if type(d) is Fraction else Fraction(d)
+    if d.numerator < 0:
         raise ValueError("d must be non-negative")
-    edge = (n - 2) * q
+    pair = _Pair(n, d)
+    for rule, status, test in _TABLE:
+        decided = test(pair)
+        if decided is not None:
+            return Verdict(n, d, status, rule, decided[1], decided[0])
+    raise RuntimeError("the last row of the rule table decides every pair")
 
-    if n > 2 and 2 * p > edge:
-        return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_RANGE_OF_R)
-    if n in (3, 4, 5) and 2 * p != edge:
-        return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_SMALL_N)
-    if 2 * p < edge:
-        if n % 2 == 1:
-            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
-                           detail="odd order admits only d = n/2 - 1")
-        if q != 1:
-            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
-                           detail="below n/2 - 1 the ratio must be an integer")
-        if (n // 2 + p) % 2 == 0:
-            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_REAL_PARITY,
-                           detail="n/2 + d must be odd")
-        # n/6 - 1 < d < n/4 - 3/2 and n/4 - 3/2 <= d, times 6 and 4.
-        if n - 6 < 6 * p and 4 * p < n - 6:
-            return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_GAP)
-        if n - 6 <= 4 * p:
-            if design_params_for(n, p) is None:
-                return Verdict(n, d, IMPOSSIBLE_STATUS, RULE_DESIGN_NONEXISTENCE)
 
-    design_range = q == 1 and n - 6 <= 4 * p and 2 * p < edge
-    params = design_params_for(n, p) if design_range else None
-    found = _witness(n, d)
-    if found is not None:
-        rule, witness, note = found
-        if params is not None and params.lam == 0:
-            note = f"existence rests on the degenerate ({n // 2}, 1, 0)-design (lam = 0)"
-            if rule == "design":
-                note = f"degenerate design (lam = 0); {note}"
-        return Verdict(n, d, EXISTS, rule, witness=witness, detail=note)
-
-    if params is not None:
-        return Verdict(
-            n, d, OPEN, "design-required",
-            detail=f"reduces to a symmetric ({n // 2}, {params.k}, {params.lam})-design; "
-                   "no provider supplies one",
-        )
-    return Verdict(n, d, OPEN, "unclassified",
-                   detail="no rule excludes this pair and no family covers it")
+def _witness(n: int, d) -> Optional[tuple[str, Optional[IntegerMps], str]]:
+    """(rule, witness, detail) of the verdict of (n, d) if it exists, else None."""
+    v = necessary_conditions(n, d)
+    return (v.rule, v.witness, v.detail) if v.status == EXISTS else None

@@ -518,28 +518,28 @@ def count_search(
     The arguments are validated as in exhaustive_search.  The budget is
     tested at every step of the DFS, so a budget-stopped count is 2^(n-1)
     times the representatives found, and checked, before the cut, with
-    ``complete`` False.  ``complete`` is also False when ``max_results`` is
-    below the total.  Each count logs one DEBUG record on ``mpsmat.search``:
-    the representatives, the count, the stop cause (as in exhaustive_search)
-    and the seconds of DFS and check.
+    ``complete`` False.  When ``max_results`` is below the total, the DFS
+    stops at the first block that takes the count past it, with ``complete``
+    False.  Each count logs one DEBUG record on ``mpsmat.search``: the
+    representatives found (up to that stop), the count, the stop cause (as in
+    exhaustive_search) and the seconds of DFS and check.
     """
     search = _Search(n, d, "all", max_results, budget_seconds, max_order)
     flips = 1 << (n - 1)
     cap = math.inf if max_results is None else max_results
-    found, checked, check_seconds = 0, 0, 0.0
+    found, check_seconds = 0, 0.0
     for block in search.leaves():
+        mark = time.monotonic()
+        _check_two_q(_decode([block], n, search.two_d), search.two_d)
+        check_seconds += time.monotonic() - mark
         found += block.shape[1]
-        # The DFS runs on past the cap: only a representative found beyond it
-        # shows that max_results, and not the end of the search, cut the count.
-        if checked * flips < cap:
-            mark = time.monotonic()
-            _check_two_q(_decode([block], n, search.two_d), search.two_d)
-            check_seconds += time.monotonic() - mark
-            checked += block.shape[1]
+        # Only a representative past the cap shows that max_results, and not
+        # the end of the search, cut the count; the DFS stops there.
         if found * flips > cap:
             search.stop = "max_results"
+            break
     elapsed = time.monotonic() - search.started
-    count = min(checked * flips, cap)
+    count = min(found * flips, cap)
     search.log(f"count n={n} d={search.d}", found, count, "dfs, check",
                [elapsed - check_seconds, check_seconds])
     return SearchCount(n=n, d=search.d, count=count, complete=search.stop == "complete",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpsmat import classify
+from mpsmat import classify, designs
 from mpsmat.classify import (
     EXISTS,
     IMPOSSIBLE_STATUS,
@@ -129,6 +129,25 @@ class TestOpenOutcomes:
         # (18, 2) sits exactly at d = n/6 - 1, outside every theorem.
         v = necessary_conditions(18, 2)
         assert v.status == OPEN and v.rule == "unclassified"
+
+
+class TestRuleTable:
+    def test_design_parameters_are_computed_at_most_once(self, monkeypatch):
+        # The design rows share one design_params_for result per pair.
+        calls = []
+        real = designs.design_params_for
+
+        def counting(n, d):
+            calls.append((n, d))
+            return real(n, d)
+
+        monkeypatch.setattr(designs, "design_params_for", counting)
+        monkeypatch.setattr(classify, "design_params_for", counting)
+        for n in range(6, 61, 2):
+            for d in range(n // 2 - 1):
+                calls.clear()
+                necessary_conditions(n, d)
+                assert len(calls) <= 1, (n, d, calls)
 
 
 class TestSoundness:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,6 +187,18 @@ class TestClassify:
                 witnesses += v.witness is not None
                 assert _verdict_text(v) == reference(v), (n, j)
         assert witnesses == 332
+
+    def test_every_sweep_verdict_is_pinned(self):
+        # The verdict document and exit status of every half-integer pair with
+        # n <= 200, by sha256: the classifier's output, byte for byte.
+        exits = {"exists_with_witness": 0, "impossible": 1, "open": 2}
+        digest = hashlib.sha256()
+        for n in range(2, 201):
+            for j in range(n - 1):
+                v = necessary_conditions(n, Fraction(j, 2))
+                digest.update(f"{_verdict_text(v)}\n{exits[v.status]}\n".encode())
+        assert digest.hexdigest() == \
+            "442d2fe38a27e64076cfda67ff5092760d801e2964611a222d8990f364694808"
 
 
 class TestSearch:

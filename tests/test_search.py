@@ -447,6 +447,23 @@ class TestCountSearch:
         with pytest.raises(StructureViolationError):
             count_search(8, 3)
 
+    @pytest.mark.parametrize("n, d, k", [(10, 2, 1), (10, 0, 1_000_000)])
+    def test_max_results_stops_the_dfs(self, monkeypatch, n, d, k):
+        # No block is pulled from the DFS after the one that takes the count
+        # past the cap.
+        real, pulled = _Search.leaves, []
+
+        def recording(self):
+            for block in real(self):
+                pulled.append(block.shape[1])
+                yield block
+
+        monkeypatch.setattr(_Search, "leaves", recording)
+        res = count_search(n, d, max_results=k, max_order=n)
+        assert (res.count, res.complete) == (k, False)
+        flips = 1 << (n - 1)
+        assert sum(pulled[:-1]) * flips <= k < sum(pulled) * flips
+
     def test_budget_fires_inside_the_dfs(self, monkeypatch):
         # The representatives found before the cut were checked, each block
         # while the DFS still ran, and counted.
@@ -584,10 +601,20 @@ class TestSearchLog:
         assert not res.complete and "stop budget," in message
 
     def test_count_budget_in_the_dfs_before_max_results(self, caplog, monkeypatch):
+        # The budget runs out before the count passes 5000, which takes 40 of
+        # the 72 representatives.
+        _expire_in_the_dfs(monkeypatch, [0.0])
+        res, message = self._record(caplog, 8, 3, fn=count_search, max_results=5000,
+                                    budget_seconds=1.0)
+        assert not res.complete and "stop budget," in message
+
+    def test_count_max_results_in_the_dfs_before_the_budget(self, caplog, monkeypatch):
+        # The first block of 5 representatives takes the count past 1, and the
+        # DFS stops there, before the budget would run out.
         _expire_in_the_dfs(monkeypatch, [0.0])
         res, message = self._record(caplog, 8, 3, fn=count_search, max_results=1,
                                     budget_seconds=1.0)
-        assert not res.complete and "stop budget," in message
+        assert not res.complete and "5 representatives, 1 matrices, stop max_results," in message
 
     def test_count_budget_in_the_check(self, caplog, monkeypatch):
         _record_checks(monkeypatch, expire=True)
