@@ -1,9 +1,12 @@
 """Symmetric block designs, Hadamard matrices and conference matrices.
 
-Providers (Sylvester Hadamard matrices, Paley conference matrices, Fourier
+Constructions (Sylvester Hadamard matrices, Paley conference matrices, Fourier
 complex Hadamard matrices), exact verification, normalization to the standard
 bordered form, core extraction, and the correspondence between Hadamard
 matrices of order N and symmetric (N-1, N/2-1, N/4-1)-designs.
+
+Every built-in auxiliary input comes from a ``provider_*`` function, which
+returns None where nothing is built in.
 
 All real-kind verification is exact: every real Gram identity, here and in
 the exact module, is one ``_gram_equals`` comparison.  Complex-kind checks
@@ -36,6 +39,7 @@ __all__ = [
     "design_params_for",
     "hadamard_to_design",
     "identity_design",
+    "provider_hadamard",
     "provider_design",
     "provider_conference",
 ]
@@ -377,23 +381,26 @@ def hadamard_to_design(hadamard) -> SymmetricDesign:
     return SymmetricDesign(v=v, k=n // 2 - 1, lam=n // 4 - 1, incidence=a)
 
 
+def provider_hadamard(order: int) -> Optional[np.ndarray]:
+    """Built-in real Hadamard matrix of the given order, if any: Sylvester's."""
+    try:
+        return sylvester_hadamard(order)
+    except BadOrderError:
+        return None
+
+
 def provider_design(v: int, k: int, lam: int) -> Optional[SymmetricDesign]:
     """Built-in design providers for the requested parameters, if any.
 
     Covers the degenerate (v, 1, 0) identity designs and the Hadamard-derived
-    (N-1, N/2-1, N/4-1) designs for Sylvester orders N = 2^t.
+    (N-1, N/2-1, N/4-1) designs of the built-in Hadamard matrices of order N.
     """
-    if k == 1 and lam == 0:
+    if k == 1 and lam == 0 and v >= 2:
         return identity_design(v)
-    n_had = v + 1
-    if (
-        k == n_had // 2 - 1
-        and lam == n_had // 4 - 1
-        and n_had >= 4
-        and n_had & (n_had - 1) == 0
-    ):
-        return hadamard_to_design(sylvester_hadamard(n_had))
-    return None
+    order = v + 1
+    hadamard_params = (k, lam) == (order // 2 - 1, order // 4 - 1) and order >= 4
+    h = provider_hadamard(order) if hadamard_params else None
+    return None if h is None else hadamard_to_design(h)
 
 
 def provider_conference(order: int) -> Optional[np.ndarray]:

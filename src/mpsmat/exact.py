@@ -27,7 +27,7 @@ from .designs import (
     SymmetricDesign,
     _gram_equals,
     design_params_for,
-    normalize_to_standard,
+    hadamard_to_design,
     verify_conference,
     verify_hadamard,
 )
@@ -551,17 +551,12 @@ def hadamard_to_mps(hadamard) -> IntegerMps:
     """Real MPS matrix of order n = 2(N-1) with d = n/4 - 3/2 from a Hadamard
     matrix of order N.
 
-    Uses the normalized core as the structure block G; inverse of
-    hadamard_bridge at the (n, d) level.
+    design_mps on the matrix's design, whose structure block G = 2A - J is the
+    normalized core; inverse of hadamard_bridge at the (n, d) level.
     """
-    h = np.asarray(hadamard, dtype=np.int64)
-    if not verify_hadamard(h):
-        raise ValueError("input is not a real Hadamard matrix")
-    order = h.shape[0]
-    _, core = normalize_to_standard(h)
-    n = 2 * (order - 1)
-    d = Fraction(n, 4) - Fraction(3, 2)
-    return _assemble_block_form(n, d, core)
+    design = hadamard_to_design(hadamard)
+    n = 2 * design.v
+    return design_mps(design, n, Fraction(n, 4) - Fraction(3, 2))
 
 
 def _block_scheme(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -120,8 +120,9 @@ def upper_interval(n: int, d: float) -> np.ndarray:
 def hadamard_core_family(n: int, d: float, hadamard) -> np.ndarray:
     """Family on d in [n/4 - 3/2, n/2 - 1] from a Hadamard matrix of order n/2 + 1.
 
-    The core K of the normalized Hadamard matrix supplies the phases:
-    B = exp(i a K) entrywise, with cos^2(a) = 4(d + 2)/(n + 2) - 1.
+    design_family on the matrix's design, whose signed incidence is the normalized
+    core K: B = exp(i a K) entrywise, with cos^2(a) = 4(d + 2)/(n + 2) - 1.  A
+    complex-kind matrix is accepted when its dephased core is real.
     """
     if n % 2 or n < 4:
         raise OutOfRangeError("n must be even and at least 4")
@@ -133,16 +134,11 @@ def hadamard_core_family(n: int, d: float, hadamard) -> np.ndarray:
     lo, hi = n / 4 - 1.5, n / 2 - 1
     if d < lo - 1e-12 or d > hi + 1e-12:
         raise OutOfRangeError(f"d must lie in [{lo}, {hi}]")
-    cos2 = 4 * (d + 2) / (n + 2) - 1
-    cos2 = min(1.0, max(0.0, cos2))
-    alpha = math.acos(math.sqrt(cos2))
-    _, core = normalize_to_standard(h)
-    if np.iscomplexobj(core):
-        if np.max(np.abs(core.imag)) > DEFAULT_TOL:
-            raise NotHadamardError("the Hadamard core is complex; this family needs a real one")
-        core = core.real
-    off = np.exp(1j * alpha * core.astype(float))
-    return _block_matrix(n, d, off)
+    std, core = normalize_to_standard(h)
+    if np.max(np.abs(np.imag(core))) > DEFAULT_TOL:
+        raise NotHadamardError("the Hadamard core is complex; this family needs a real one")
+    design = designs.hadamard_to_design(np.rint(np.real(std)).astype(np.int64))
+    return design_family(design, design_alpha_for_ratio(design, d))
 
 
 def conference_core_family(n: int, d: float, conference) -> np.ndarray:
@@ -246,8 +242,8 @@ def design_family(design: SymmetricDesign, alpha: float) -> np.ndarray:
     +-1 signed incidence matrix: the design identities A A^T = (k-lam)I + lam J
     and A J = k J make the block Gram matrix constant off the diagonal, which
     is exactly the membership condition at the stated d.  When A comes from a
-    Hadamard matrix, G is that matrix's core and this family coincides with
-    hadamard_core_family entry for entry.
+    Hadamard matrix, G is that matrix's core, and hadamard_core_family is this
+    family on that design.
 
     At a = 0 the ratio is the maximal n/2 - 1; the reachable floor is
     n/2 - 1 - 2(k - lam), which is always at least n/4 - 3/2 because
@@ -268,8 +264,8 @@ class Family(NamedTuple):
     points, asking the provider only there, and returns None elsewhere: a
     member it returns has order n and ratio d.  ``float(n, d, aux, alpha)``
     builds a member from the auxiliary input of kind ``aux`` ("matrix" or
-    "design"), which ``provider(n, d)`` supplies where it can (elsewhere it
-    returns None or raises); it is None for a family with real members only.
+    "design"), which ``provider(n, d)`` supplies where one is built in and is
+    None elsewhere; it is None for a family with real members only.
     ``ratio(n)`` is the d of a fixed-ratio family; ``alpha`` marks the family
     whose phase angle may stand in for d.  Builders are looked up when called.
     """
@@ -313,13 +309,14 @@ def _design_exact(n, d, design=None):
 
 
 def _covering_design(n, d):
-    """The Sylvester design of order n/2, else the identity design: the first
-    whose ratio interval covers d (any d when None)."""
+    """The design of the built-in Hadamard matrix of order n/2 + 1, else the
+    identity design: the first whose ratio interval covers d (any d when None)."""
     def candidates():
-        n_had = n // 2 + 1
-        if n_had >= 4 and n_had & (n_had - 1) == 0:
-            yield designs.hadamard_to_design(designs.sylvester_hadamard(n_had))
-        yield designs.identity_design(n // 2)
+        h = designs.provider_hadamard(n // 2 + 1)
+        if h is not None and n >= 6:
+            yield designs.hadamard_to_design(h)
+        if n >= 4:
+            yield designs.identity_design(n // 2)
 
     for design in candidates():
         floor = n / 2 - 1 - 2 * (design.k - design.lam)
@@ -341,10 +338,10 @@ FAMILIES: dict[str, Family] = {
                                 and d in (Fraction(n, 2) - 1, Fraction(n, 2) - 3) else None)),
     "hadamard_core": Family(
         lambda n, d, h, alpha: hadamard_core_family(n, float(d), h),
-        aux="matrix", provider=lambda n, d: designs.sylvester_hadamard(n // 2 + 1)),
+        aux="matrix", provider=lambda n, d: designs.provider_hadamard(n // 2 + 1)),
     "conference_core": Family(
         lambda n, d, c, alpha: conference_core_family(n, float(d), c),
-        aux="matrix", provider=lambda n, d: designs.paley_conference(n // 2 + 1)),
+        aux="matrix", provider=lambda n, d: designs.provider_conference(n // 2 + 1)),
     "complex_core": Family(
         lambda n, d, aux, alpha: complex_core_matrix(n),
         ratio=lambda n: Fraction(n, 4) - Fraction(3, 2)),

@@ -139,6 +139,74 @@ class TestConstructVerify:
         assert code == 0
         assert out.splitlines()[0] == "1/1,-1/1,-1/1,-1/1"
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "hadamard_core", "--n", "10", "--d", "2"],
+        ["--family", "conference_core", "--n", "14", "--d", "3"],
+        ["--family", "conference_block", "--n", "8", "--d", "0.5"],
+    ])
+    def test_missing_provider_is_one_message(self, capsys, argv):
+        code = main(["construct", *argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: no built-in matrix for {argv[1]} here; "
+                                "pass --aux FILE\n")
+
+
+def _points(lo, hi, count=12):
+    return [lo] if hi <= lo else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+def _construct_grid():
+    """(family, n, d) at every point of the acceptance criterion-1 grid that
+    the built-in providers build, then three points where none does."""
+    items = [("full_j", n, None) for n in range(4, 31, 2)]
+    items += [("n2", 2, d) for d in _points(0.0, 5.0)]
+    for n in range(4, 31, 2):
+        items += [("upper_interval", n, d) for d in _points(max(0.0, n / 2 - 3), n / 2 - 1)]
+    for n in (6, 14, 30):
+        items += [("hadamard_core", n, d) for d in _points(n / 4 - 1.5, n / 2 - 1)]
+    for n in (10, 26):
+        items += [("conference_core", n, d)
+                  for d in _points(n / 4 - 1.5 - 1 / (n - 2), n / 2 - 1)]
+    items += [("complex_core", n, None) for n in range(6, 31, 2)]
+    for n in (12, 28):
+        items += [("conference_block", n, d) for d in _points(0.0, 1.0)]
+    # The designs the provider covers these intervals with: the Sylvester
+    # designs (7, 3, 1) and (15, 7, 3) and the identity design (5, 1, 0).
+    for n, k_minus_lam in ((14, 2), (30, 4), (10, 1)):
+        items += [("design_complex", n, d)
+                  for d in _points(n / 2 - 1 - 2 * k_minus_lam, n / 2 - 1)]
+    items += [("design_real", n, float(d)) for n, d in ((14, 2), (30, 6), (10, 2), (8, 1), (6, 0))]
+    items += [("hadamard_core", 10, 2.0), ("conference_core", 14, 3.0),
+              ("conference_block", 8, 0.5)]
+    return items
+
+
+class TestConstructPinned:
+    # sha256 of each family's construct stdout and exit status over the grid.
+    DIGESTS = {
+        "full_j": "eaa637b016c66a410222d2f219105fbbd063c643273212395fc9a945c5fbc6d8",
+        "n2": "440e82c62cfec294b2d954db99921de42d771f976f9f924548bd285f03be0472",
+        "upper_interval": "a4e371963016a225a6f11b3b53730bba754cd393a6d58cbe975a478d53e5ae6c",
+        "hadamard_core": "3dbc911648c2cd75dea042a1fdf3fe7d521492c071ab8866cf5c06fcf7bcec51",
+        "conference_core": "b447b46f507c11818eda8f202a62b0ba5d6de615622fe27e1a6fda942242d529",
+        "complex_core": "dde005eb4b15e66a8c6caaf05cc44921bbb6da5fd5f6a86b8d448fd14a76727e",
+        "conference_block": "72cd37bcdd6527b1dee2e908fc8f6a2230d93013573110628dfa87e88ec741ee",
+        "design_complex": "2054d327a1d6a2d1a3c89fe56681664de4ed05281c4e638d51b50fd8a313085a",
+        "design_real": "d2081ce8604e41c85c780f865ab9e40f2b191bfba3e333457808e57af65332d6",
+    }
+
+    def test_every_grid_output_is_pinned(self, capsys):
+        digests = {}
+        for family, n, d in _construct_grid():
+            argv = ["construct", "--family", family, "--n", str(n)]
+            if d is not None:
+                argv += ["--d", repr(d)]
+            code = main(argv)
+            out = capsys.readouterr().out
+            digests.setdefault(family, hashlib.sha256()).update(f"{out}\n{code}\n".encode())
+        assert {k: v.hexdigest() for k, v in digests.items()} == self.DIGESTS
+
 
 class TestClassify:
     def test_design_gap(self, capsys):

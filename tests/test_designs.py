@@ -12,6 +12,9 @@ from mpsmat.designs import (
     identity_design,
     normalize_to_standard,
     paley_conference,
+    provider_conference,
+    provider_design,
+    provider_hadamard,
     sylvester_hadamard,
     verify_conference,
     verify_design,
@@ -169,6 +172,20 @@ class TestNormalize:
         assert np.array_equal(std @ std.T, 12 * np.eye(12, dtype=np.int64))
 
     @pytest.mark.parametrize("matrix", [
+        # Zeros off the diagonal, repaired by a row permutation.
+        paley_conference(6)[[1, 0, 2, 3, 4, 5]],
+        # Skew: dephased by rows and columns, past the zero corner.
+        [[0, 1, 1, 1], [-1, 0, 1, -1], [-1, -1, 0, 1], [-1, 1, -1, 0]],
+    ], ids=["swapped-paley", "skew"])
+    def test_conference_to_bordered_form(self, matrix):
+        std, core = normalize_to_standard(np.array(matrix))
+        order = std.shape[0]
+        assert np.all(np.diagonal(std) == 0)
+        assert np.all(std[0, 1:] == 1) and np.all(std[1:, 0] == 1)
+        assert np.array_equal(core, std[1:, 1:])
+        assert np.array_equal(std @ std.T, (order - 1) * np.eye(order, dtype=np.int64))
+
+    @pytest.mark.parametrize("matrix", [
         [[0, 0, 1], [1, 0, 1], [1, 1, 0]],
         [[0, 0, 1j], [1, 0, 1], [1, 1, 0]],
     ], ids=["real", "complex"])
@@ -228,3 +245,15 @@ class TestHadamardToDesign:
 def test_identity_design():
     d = identity_design(6)
     assert d.degenerate and (d.v, d.k, d.lam) == (6, 1, 0)
+
+
+def test_providers_return_none_where_nothing_is_built_in():
+    assert np.array_equal(provider_hadamard(8), sylvester_hadamard(8))
+    assert np.array_equal(provider_conference(6), paley_conference(6))
+    for order in (0, 3, 6, 12):
+        assert provider_hadamard(order) is None
+    assert provider_conference(8) is None
+    # The Hadamard design at order 16, then none at order 12 or on one point.
+    assert provider_design(15, 7, 3).incidence.shape == (15, 15)
+    assert provider_design(11, 5, 2) is None
+    assert provider_design(1, 1, 0) is None

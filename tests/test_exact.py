@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpsmat.designs import (
+    design_params_for,
     hadamard_to_design,
     identity_design,
     paley_conference,
     sylvester_hadamard,
+    verify_design,
     verify_hadamard,
 )
 from mpsmat.exact import (
@@ -34,6 +36,7 @@ from mpsmat.exact import (
     two_by_two_mps,
     upper_interval_mps,
 )
+from mpsmat.search import are_equivalent, exhaustive_search
 
 
 def fano_design():
@@ -311,6 +314,25 @@ class TestExtractDesign:
             m = design_mps(design, n, d)
             back = extract_design(m)
             assert (back.v, back.k, back.lam) == (design.v, design.k, design.lam)
+
+    @pytest.mark.parametrize("n, d, max_results", [(6, 0, None), (8, 1, 300), (10, 2, 300)])
+    def test_search_hits_of_either_row_sum_sign(self, n, d, max_results):
+        # The structure block's row sum mu is -q or +q; a +q block is negated
+        # before the incidence is read off.  Half the (6, 0) hits have mu = +1.
+        params = design_params_for(n, d)
+        hits = exhaustive_search(n, d, max_results=max_results, max_order=10).matrices()
+        signs = set()
+        for m in hits:
+            mu = int(structure_check(m).g.sum(axis=1)[0])
+            signs.add(mu)
+            design = extract_design(m)
+            assert verify_design(design.incidence, n // 2, params.k, params.lam,
+                                 allow_degenerate=True)
+            assert are_equivalent(m, design_mps(design, n, d)) is not None
+            if (n, d) == (6, 0):
+                h = hadamard_bridge(m)
+                assert h.shape == (4, 4) and verify_hadamard(h) and h[0, 0] == -mu
+        assert signs == {-params.q, params.q}
 
 
 class TestHadamardBridge:

@@ -339,6 +339,18 @@ class TestRegistry:
                 real_points += 1
         assert real_points > 0
 
+    @pytest.mark.parametrize("name, n, d", [
+        # No Sylvester order 6 or 12, no Paley order 4 or 8, no design on
+        # fewer than two points.
+        *[(name, 22, Fraction(4)) for name in FAMILY_NAMES
+          if name not in ("hadamard_core", "conference_core", "conference_block")],
+        ("hadamard_core", 10, Fraction(2)), ("conference_core", 14, Fraction(3)),
+        ("conference_block", 8, Fraction(1, 2)),
+        ("design_complex", 0, Fraction(0)), ("design_complex", 3, Fraction(0)),
+    ])
+    def test_provider_returns_none_where_nothing_is_built_in(self, name, n, d):
+        assert FAMILIES[name].provider(n, d) is None
+
     def test_providers_run_only_at_real_points(self, monkeypatch):
         calls = []
         monkeypatch.setattr(designs, "provider_conference",
