@@ -219,8 +219,7 @@ def _cmd_classify(args) -> int:
 def _cmd_search(args) -> int:
     ratios = [args.d] if args.d is not None else search.candidate_ratios(args.n)
     mode = "up_to_equivalence" if args.canonical else "all"
-    limits = dict(max_results=args.max_results, budget_seconds=args.budget,
-                  max_order=args.max_order)
+    limits = dict(max_results=args.max_results, budget_seconds=args.budget)
     # Every ratio is searched before the output is opened, so an error writes nothing.
     if args.count_only and not args.canonical:
         # The all-mode count needs only the checked sign-flip orbit representatives.
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many hits per ratio; without --canonical, "
                         "the first hits of the complete output")
     p.add_argument("--budget", type=_finite_float, default=None, help="seconds")
-    p.add_argument("--max-order", type=int, default=search.DEFAULT_SEARCH_MAX_ORDER)
     p.add_argument("--count-only", action="store_true",
                    help="report counts without serializing the matrices")
     _add_common(p)
@@ -474,8 +472,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except search.TooLargeError as exc:
-        return _fail(str(exc), EXIT_OPEN)
+    except (search.TooLargeError, MemoryError) as exc:
+        return _fail(str(exc) or "out of memory", EXIT_OPEN)
     except SystemExit:
         raise
     except (serialize.FormatError, json.JSONDecodeError) as exc:

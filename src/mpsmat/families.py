@@ -85,7 +85,7 @@ def n2_matrix(d: float) -> np.ndarray:
     """The 2 x 2 family [[d, 1], [1, -d]] / sqrt(d^2 + 1), any d >= 0."""
     if d < 0:
         raise OutOfRangeError("d must be non-negative")
-    return np.array([[d, 1.0], [1.0, -d]]) / math.sqrt(d * d + 1)
+    return np.array([[d, 1.0], [1.0, -d]]) / math.hypot(d, 1.0)
 
 
 # Float names of two exact members, kept while the benchmark's tracer

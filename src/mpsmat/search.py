@@ -66,10 +66,8 @@ __all__ = [
     "canonical_form",
     "canonical_transform",
     "are_equivalent",
-    "DEFAULT_SEARCH_MAX_ORDER",
 ]
 
-DEFAULT_SEARCH_MAX_ORDER = 8
 _log = logging.getLogger(__name__)
 
 #: Largest 2d the int8 hit stacks hold.
@@ -125,14 +123,22 @@ def _two_d(d: Fraction) -> Optional[int]:
     return int(2 * d)
 
 
+def _check_order(n: int) -> None:
+    """Raise unless 2 <= n <= _KERNEL_MAX_ORDER, the orders the search supports."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    if n > _KERNEL_MAX_ORDER:
+        raise TooLargeError(f"order {n} exceeds the search maximum {_KERNEL_MAX_ORDER}")
+
+
 def candidate_ratios(n: int) -> list[Fraction]:
-    """The half-integer candidate grid {j/2 : 0 <= j <= n-2} for order n >= 2.
+    """The half-integer candidate grid {j/2 : 0 <= j <= n-2} for order n >= 2,
+    checked against the search's order limit before anything is built.
 
     Any real MPS matrix has d on this grid: d <= n/2 - 1 always, and below
     that bound d must be a non-negative integer.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    _check_order(n)
     return [Fraction(j, 2) for j in range(0, n - 1)]
 
 
@@ -326,7 +332,7 @@ class _Search:
     why it stopped: ``stop`` is ``complete`` unless a cause cut it short."""
 
     def __init__(self, n: int, d, mode: str, max_results: Optional[int],
-                 budget_seconds: Optional[float], max_order: int) -> None:
+                 budget_seconds: Optional[float]) -> None:
         self.started = time.monotonic()
         if mode not in ("all", "up_to_equivalence"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -334,11 +340,7 @@ class _Search:
             raise ValueError("max_results must be at least 1")
         if budget_seconds is not None and math.isnan(budget_seconds):
             raise ValueError("budget_seconds must be a number, not NaN")
-        if n < 2:
-            raise ValueError("order must be at least 2")
-        largest = min(max_order, _KERNEL_MAX_ORDER)
-        if n > largest:
-            raise TooLargeError(f"order {n} exceeds the search maximum {largest}")
+        _check_order(n)
         self.d = Fraction(d)
         if self.d < 0:
             raise ValueError("d must be non-negative")
@@ -445,7 +447,6 @@ def exhaustive_search(
     mode: str = "all",
     max_results: Optional[int] = None,
     budget_seconds: Optional[float] = None,
-    max_order: int = DEFAULT_SEARCH_MAX_ORDER,
 ) -> SearchResult:
     """Enumerate the real MPS matrices of order n with ratio d, exactly.
 
@@ -467,7 +468,7 @@ def exhaustive_search(
     Each search logs one DEBUG record on ``mpsmat.search``: phase times, counts
     and the stop cause (``complete``, ``budget`` or ``max_results``).
     """
-    search = _Search(n, d, mode, max_results, budget_seconds, max_order)
+    search = _Search(n, d, mode, max_results, budget_seconds)
     blocks = list(search.leaves())
     found = sum(b.shape[1] for b in blocks)
     marks = [search.started, time.monotonic()]
@@ -501,7 +502,6 @@ def count_search(
     d,
     max_results: Optional[int] = None,
     budget_seconds: Optional[float] = None,
-    max_order: int = DEFAULT_SEARCH_MAX_ORDER,
 ) -> SearchCount:
     """Count the real MPS matrices of order n with ratio d, exactly, without
     writing them out: ``exhaustive_search(n, d)``'s count and ``complete``.
@@ -524,7 +524,7 @@ def count_search(
     representatives found (up to that stop), the count, the stop cause (as in
     exhaustive_search) and the seconds of DFS and check.
     """
-    search = _Search(n, d, "all", max_results, budget_seconds, max_order)
+    search = _Search(n, d, "all", max_results, budget_seconds)
     flips = 1 << (n - 1)
     cap = math.inf if max_results is None else max_results
     found, check_seconds = 0, 0.0

@@ -293,21 +293,38 @@ class TestSearch:
         assert blk["matrices"] == full["results"][0]["matrices"][:3]
 
     def test_too_large_exit(self, capsys):
-        code = main(["search", "--n", "9"])
+        code = main(["search", "--n", "21"])
         assert code == 2
 
+    def test_order_nine_needs_no_option(self, capsys):
+        # Order 9 holds its sign words in uint16: 512 matrices at d = 7/2,
+        # written out by the orbit expansion.
+        code, obj = run_json(capsys, "search", "--n", "9", "--d", "7/2")
+        assert code == 0
+        blk = obj["results"][0]
+        assert blk["count"] == len(blk["matrices"]) == 512 and blk["complete"]
+
     @pytest.mark.parametrize("argv", [
-        ["--n", "40", "--max-order", "40", "--d", "19", "--count-only", "--budget", "1"],
-        ["--n", "64", "--max-order", "64", "--d", "31", "--budget", "2"],
+        ["--n", "40", "--d", "19", "--count-only", "--budget", "1"],
+        ["--n", "64", "--d", "31", "--budget", "2"],
+        ["--n", "3000000"],
     ])
     def test_order_past_the_search_kernel_exit(self, argv, subprocess_env):
-        # An explicit --max-order does not lift the kernel's own order limit,
-        # which is checked before any search table is built.
-        proc = subprocess.run([sys.executable, "-m", "mpsmat.cli", "search", *argv],
+        # The kernel's order limit is checked before the ratio grid or any
+        # search table is built, so even n = 3,000,000 (a 3-million-entry
+        # grid) exits at start-up cost.  The child runs under a small parent
+        # that reports its exit code and peak RSS, since Linux carries the
+        # spawning process's RSS high-water mark into the child's ru_maxrss.
+        parent = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+                  "_, status, usage = os.wait4(p.pid, 0); "
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", parent,
+                               sys.executable, "-m", "mpsmat.cli", "search", *argv],
                               capture_output=True, text=True, env=subprocess_env, timeout=120)
-        assert proc.returncode == 2
+        code, peak_kib = map(int, proc.stdout.split())  # the child itself writes no stdout
+        assert code == 2
         assert proc.stderr == f"error: order {argv[1]} exceeds the search maximum 20\n"
-        assert proc.stdout == ""
+        assert peak_kib < 60 * 1024
 
     def test_ratio_beyond_the_int8_stack_exit(self, capsys):
         assert main(["search", "--n", "4", "--d", "40000"]) == 2
@@ -472,6 +489,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "4", "--format", "csv"],
         ["classify", "--n", "6", "--d", "1", "--tol", "1e-3"],
+        ["search", "--n", "8", "--max-order", "8"],  # no order option: 20 is the limit
     ])
     def test_option_the_command_does_not_read_exit_64(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -552,6 +570,18 @@ class TestUsageErrors:
         p = tmp_path / "junk.json"
         p.write_text("{not json")
         assert main(["verify", str(p)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--n", "1000000000", "--d", "499999999"],
+        ["construct", "--family", "full_j", "--n", "1000000000"],
+    ])
+    def test_out_of_memory_exit_2(self, capsys, argv):
+        # The full-j matrix of order 10^9 needs 6.94 EiB at once, which numpy
+        # refuses before touching any memory: one line and the "too large" code.
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 

@@ -320,7 +320,7 @@ class TestExtractDesign:
         # The structure block's row sum mu is -q or +q; a +q block is negated
         # before the incidence is read off.  Half the (6, 0) hits have mu = +1.
         params = design_params_for(n, d)
-        hits = exhaustive_search(n, d, max_results=max_results, max_order=10).matrices()
+        hits = exhaustive_search(n, d, max_results=max_results).matrices()
         signs = set()
         for m in hits:
             mu = int(structure_check(m).g.sum(axis=1)[0])

@@ -81,6 +81,12 @@ class TestN2:
         assert abs(s[0, 1]) == pytest.approx(1 / math.sqrt(10))
         assert_member(s, 3.0)
 
+    def test_huge_ratio_does_not_overflow(self):
+        # d^2 + 1 is inf past d = 1.3e154; the norm is taken by hypot.
+        s = n2_matrix(1e200)
+        assert np.array_equal(s, [[1.0, 1e-200], [1e-200, -1.0]])
+        assert is_unitary(s)
+
 
 class TestUpperInterval:
     def test_top_endpoint_real(self):

@@ -130,7 +130,7 @@ class TestExhaustiveSearch:
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
-            exhaustive_search(9, 1)
+            exhaustive_search(21, 1)
 
     def test_largest_ratio_the_int8_stack_holds(self):
         # 2d = 126: [[d, 1], [1, -d]] up to the four sign choices.
@@ -203,7 +203,7 @@ class TestHitOrder:
 
 def _search(n, d, mode="all", max_results=None):
     """The _Search of one search without a budget, and the leaf blocks of its DFS."""
-    searcher = _Search(n, d, mode, max_results, None, n)
+    searcher = _Search(n, d, mode, max_results, None)
     return searcher, list(searcher.leaves())
 
 
@@ -413,11 +413,10 @@ class TestCountSearch:
             assert res.complete and res.count == len(naive_search(n, d)), (n, d)
 
     @pytest.mark.parametrize("n, d, kwargs", [
-        (1, 1, {}), (0, 1, {}), (9, 1, {}), (9, -1, {}), (4, -1, {}),
+        (1, 1, {}), (0, 1, {}), (21, 1, {}), (9, -1, {}), (4, -1, {}),
         (2, 64, {}), (3, Fraction(255, 2), {}), (1, -1, {"max_results": 0}),
         (4, 1, {"max_results": 0}), (4, 1, {"max_results": -1}),
         (1, 1, {"budget_seconds": float("nan")}), (4, 1, {"budget_seconds": float("nan")}),
-        (11, 1, {"max_order": 10}),
     ])
     def test_bad_input_raises_as_exhaustive_search(self, n, d, kwargs):
         with pytest.raises(ValueError) as want:  # TooLargeError is a ValueError
@@ -459,7 +458,7 @@ class TestCountSearch:
                 yield block
 
         monkeypatch.setattr(_Search, "leaves", recording)
-        res = count_search(n, d, max_results=k, max_order=n)
+        res = count_search(n, d, max_results=k)
         assert (res.count, res.complete) == (k, False)
         flips = 1 << (n - 1)
         assert sum(pulled[:-1]) * flips <= k < sum(pulled) * flips
@@ -506,7 +505,7 @@ class TestOrdersNineAndTen:
     def test_counts_and_classifier(self, n):
         counts = {}
         for d in candidate_ratios(n):
-            res = count_search(n, d, max_order=n)
+            res = count_search(n, d)
             assert res.complete
             counts[d] = res.count
             status = necessary_conditions(n, d).status
@@ -522,8 +521,8 @@ class TestOrdersNineAndTen:
         assert self.COUNTS[10][Fraction(0)] > 0
 
     def test_count_matches_the_listed_matrices(self):
-        listed = exhaustive_search(10, 4, max_order=10).two_q_stack
-        assert len(listed) == count_search(10, 4, max_order=10).count == 130_048
+        listed = exhaustive_search(10, 4).two_q_stack
+        assert len(listed) == count_search(10, 4).count == 130_048
 
 
 class TestSearchLog:
@@ -794,8 +793,8 @@ class TestCanonicalOracle:
     def test_order_nine_and_ten_classes(self):
         # Representatives checked against the scan once; the scan costs
         # about 33 s at n = 10, so only their digest is pinned here.
-        nine = exhaustive_search(9, Fraction(7, 2), mode="up_to_equivalence", max_order=10)
-        ten = exhaustive_search(10, 4, mode="up_to_equivalence", max_order=10)
+        nine = exhaustive_search(9, Fraction(7, 2), mode="up_to_equivalence")
+        ten = exhaustive_search(10, 4, mode="up_to_equivalence")
         assert nine.complete and nine.count == 1
         assert ten.complete and ten.count == 2
         digest = hashlib.sha256(nine.two_q_stack.tobytes() + ten.two_q_stack.tobytes())

@@ -114,7 +114,7 @@ def _ref_sorted(n, hits):
 @pytest.mark.parametrize("n,two_ds", [(n, _two_ds(n)) for n in range(2, 10)] + [(10, [8])])
 def test_all_mode_is_the_reference_bit_for_bit(n, two_ds):
     for two_d in two_ds:
-        got = exhaustive_search(n, Fraction(two_d, 2), max_order=10).two_q_stack
+        got = exhaustive_search(n, Fraction(two_d, 2)).two_q_stack
         want = _ref_sorted(n, _ref_hits(n, two_d, "all"))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), (n, two_d)
@@ -123,7 +123,7 @@ def test_all_mode_is_the_reference_bit_for_bit(n, two_ds):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_standard_form_hits_are_the_references(n):
     for two_d in _two_ds(n):
-        searcher = _Search(n, Fraction(two_d, 2), "up_to_equivalence", None, None, n)
+        searcher = _Search(n, Fraction(two_d, 2), "up_to_equivalence", None, None)
         blocks = list(searcher.leaves())
         assert searcher.stop == "complete"
         got = sorted(q.tobytes() for q in _decode(blocks, n, two_d))
