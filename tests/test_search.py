@@ -413,10 +413,12 @@ class TestCountSearch:
             assert res.complete and res.count == len(naive_search(n, d)), (n, d)
 
     @pytest.mark.parametrize("n, d, kwargs", [
-        (1, 1, {}), (0, 1, {}), (21, 1, {}), (9, -1, {}), (4, -1, {}),
+        # Orders 9 and 11 search for seconds: bad arguments must raise first.
+        (1, 1, {}), (0, 1, {}), (9, 1, {"max_results": 0}), (9, -1, {}), (4, -1, {}),
         (2, 64, {}), (3, Fraction(255, 2), {}), (1, -1, {"max_results": 0}),
         (4, 1, {"max_results": 0}), (4, 1, {"max_results": -1}),
         (1, 1, {"budget_seconds": float("nan")}), (4, 1, {"budget_seconds": float("nan")}),
+        (11, 1, {"budget_seconds": float("nan")}), (21, 1, {}),
     ])
     def test_bad_input_raises_as_exhaustive_search(self, n, d, kwargs):
         with pytest.raises(ValueError) as want:  # TooLargeError is a ValueError
