@@ -258,8 +258,14 @@ def fourier_complex_hadamard(order: int) -> np.ndarray:
     """Complex Hadamard matrix H_jk = exp(2*pi*i*j*k / N), 0-based indices."""
     if order < 1:
         raise BadOrderError("order must be positive")
+    # The result is asked for first and filled in place, so an order too
+    # large to hold is refused before anything else is allocated.
+    h = np.empty((order, order), dtype=complex)
     j = np.arange(order)
-    return np.exp(2j * np.pi * np.outer(j, j) / order)
+    np.multiply.outer(j, j, out=h)
+    h *= 2j * np.pi
+    h /= order
+    return np.exp(h, out=h)
 
 
 def _zeros_to_diagonal(a: np.ndarray, tol: float) -> np.ndarray:

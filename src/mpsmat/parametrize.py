@@ -254,16 +254,20 @@ def build_unitary(param: UnitaryParam) -> np.ndarray:
 def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     """Recover (m, T, S_h, P) from a unitary matrix different from -I.
 
-    m is the number of singular values of U + I above ``tol`` (the trace is
-    not usable: the eigenvalues are not restricted to +-1).  P is the
-    identity when m = n.  Otherwise it puts first the m rows that greedy
-    diagonal-pivoted Cholesky picks on the projector onto the m leading left
-    singular vectors of U + I, then the others in ascending order; pivoting
-    on (U + I)(U + I)* instead would square a singular value of 1e-8 below
-    rounding.  S_h is the anti-Hermitian part of 2 M^{-1} - I - T T*,
-    divided by i.  Its Hermitian part vanishes for an exact unitary, and the
-    unitarity defect that ``is_unitary`` accepts (tol * n) grows by at most
-    ||M^{-1}||_2^2 through the inverse, so a larger Hermitian part raises.
+    One values-only SVD of U + I fixes m, the number of singular values
+    above ``tol`` (the trace is not usable: the eigenvalues are not
+    restricted to +-1).  When m = n, P is the identity, M = U + I and
+    ||M^{-1}||_2 = 1/sigma_min(M) comes from the same values.  Only when U
+    has the eigenvalue -1 (m < n) are singular vectors computed: P puts first
+    the m rows that greedy diagonal-pivoted Cholesky picks on the projector
+    onto the m leading left singular vectors of U + I, then the others in
+    ascending order (pivoting on (U + I)(U + I)* instead would square a
+    singular value of 1e-8 below rounding), and sigma_min(M) comes from a
+    values-only SVD of the m x m block.  S_h is the anti-Hermitian part of
+    2 M^{-1} - I - T T*, divided by i.  Its Hermitian part vanishes for an
+    exact unitary, and the unitarity defect that ``is_unitary`` accepts
+    (tol * n) grows by at most ||M^{-1}||_2^2 through the inverse, so a
+    larger Hermitian part raises.
     """
     u = as_square_matrix(matrix).astype(complex)
     n = u.shape[0]
@@ -273,15 +277,19 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     if np.max(np.abs(u + eye)) <= tol:
         raise TrivialMatrixError("matrix is -I; the parametrization excludes it")
     uplus = u + eye
-    left, sv, _ = np.linalg.svd(uplus)
+    sv = np.linalg.svd(uplus, compute_uv=False)
     m = int(np.sum(sv > tol))
-    basis = left[:, :m]
-    rows = list(range(n)) if m == n else _pivot_rows(basis @ basis.conj().T, m)
+    if m == n:
+        rows = list(range(n))
+    else:
+        basis = np.linalg.svd(uplus)[0][:, :m]
+        rows = _pivot_rows(basis @ basis.conj().T, m)
     mblock, t, perm = _split(uplus, rows, m)
+    sigma_min = sv[-1] if m == n else np.linalg.svd(mblock, compute_uv=False)[-1]
     minv = np.linalg.inv(mblock)
     r = 2.0 * minv - np.eye(m) - t @ t.conj().T
     herm_resid = (r + r.conj().T) / 2
-    if np.linalg.norm(herm_resid) > tol * n * np.linalg.norm(minv, 2) ** 2:
+    if np.linalg.norm(herm_resid) > tol * n / sigma_min ** 2:
         raise ValueError("inconsistent decomposition: S_h is not Hermitian")
     s_h = (r - r.conj().T) / 2j
     s_h = (s_h + s_h.conj().T) / 2

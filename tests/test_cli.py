@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from mpsmat.classify import necessary_conditions
 from mpsmat.cli import _verdict_text, main
 from mpsmat.designs import sylvester_hadamard
 from mpsmat.families import n2_matrix
-from mpsmat.serialize import loads_matrix, matrix_to_obj
+from mpsmat.serialize import dumps_matrix, loads_matrix, matrix_to_obj
 
 
 def run(capsys, *argv):
@@ -400,6 +401,27 @@ class TestParamCommands:
                      "--out", str(p_path)]) == 0
         assert json.loads(p_path.read_text())["S_h"] is not None
 
+    # sha256 of the ``param encode`` stdout for a seeded Haar unitary (m = n,
+    # identity P) and for a complex_core member encoded with --general (m = 3
+    # of n = 6, pivoted P), pinned from the decomposer that took m, P and
+    # ||M^{-1}||_2 from full SVDs.
+    ENCODE_DIGESTS = {
+        "haar": "b375a1ab6b3b75f93b03b02cdb287c5ca960cd3fce61a3c1f3847a3c0720b366",
+        "general": "e5fa704c8158cc5290b5eefd3dede83e6c99d5e4a7733c71c1d2f48736b22e13",
+    }
+
+    def test_encode_output_pinned(self, capsys, tmp_path):
+        haar = tmp_path / "haar.json"
+        haar.write_text(dumps_matrix(random_unitary(6, np.random.default_rng(2011))))
+        herm = tmp_path / "herm.json"
+        assert main(["construct", "--family", "complex_core", "--n", "6",
+                     "--out", str(herm)]) == 0
+        digests = {}
+        for name, argv in [("haar", [str(haar)]), ("general", [str(herm), "--general"])]:
+            assert main(["param", "encode", *argv]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == self.ENCODE_DIGESTS
+
 
 class TestDesignsCommands:
     def test_make_and_from_hadamard(self, capsys, tmp_path):
@@ -574,10 +596,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["classify", "--n", "1000000000", "--d", "499999999"],
         ["construct", "--family", "full_j", "--n", "1000000000"],
+        ["designs", "make", "--fourier", "100000000"],
     ])
     def test_out_of_memory_exit_2(self, capsys, argv):
-        # The full-j matrix of order 10^9 needs 6.94 EiB at once, which numpy
-        # refuses before touching any memory: one line and the "too large" code.
+        # The full-j matrix of order 10^9 needs 6.94 EiB at once, and the
+        # Fourier matrix of order 10^8 142 PiB, which numpy refuses before
+        # touching any memory: one line and the "too large" code.
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

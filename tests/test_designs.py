@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,21 @@ class TestFourier:
 
     def test_verify_complex_kind(self):
         assert verify_hadamard(fourier_complex_hadamard(5))
+
+    def test_order_too_large_refused_before_allocation(self):
+        # The order x order result is asked for before np.arange(order) (800 MB
+        # at this order) or any other intermediate is built.  numpy keeps a
+        # trace of the refused request itself, so the peak is taken above what
+        # is still traced after the call: the intermediates built and dropped
+        # before the refusal.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                fourier_complex_hadamard(10**8)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 10 * 2**20, (peak, held)
 
 
 class TestNormalize:

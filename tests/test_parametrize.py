@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian_unitary, random_unitary
-from mpsmat.core import is_hermitian, is_unitary
+from mpsmat.core import DEFAULT_TOL, is_hermitian, is_unitary
 from mpsmat.exact import full_j_mps
 from mpsmat.families import complex_core_matrix
 from mpsmat.parametrize import (
@@ -11,6 +11,8 @@ from mpsmat.parametrize import (
     QuadraticSpec,
     TrivialMatrixError,
     UnitaryParam,
+    _pivot_rows,
+    _split,
     build_hermitian_unitary,
     build_quadratic_solution,
     build_unitary,
@@ -42,6 +44,60 @@ def _near_minus_one(n, delta, exact, rng):
     phases[0] = np.pi - 2 * np.arcsin(delta / 2)
     phases[1:1 + exact] = np.pi
     return (v * np.exp(1j * phases)) @ v.conj().T
+
+
+def _minus_one_unitary(n, k, rng):
+    """V diag(w) V* with V Haar-ish, the eigenvalue -1 at multiplicity k and
+    the other n - k eigenvalues uniform on the circle."""
+    v = random_unitary(n, rng)
+    phases = rng.uniform(-np.pi, np.pi, size=n)
+    phases[:k] = np.pi
+    return (v * np.exp(1j * phases)) @ v.conj().T
+
+
+def _reference_decompose_unitary(matrix, tol=DEFAULT_TOL):
+    """decompose_unitary as it was with one full SVD of U + I, whose vectors
+    fix P and whose values fix m, and ||M^{-1}||_2 from a second SVD of the
+    inverted block: the oracle of the values-only path."""
+    u = np.asarray(matrix).astype(complex)
+    n = u.shape[0]
+    if not is_unitary(u, tol):
+        raise ValueError("matrix is not unitary within tolerance")
+    eye = np.eye(n)
+    if np.max(np.abs(u + eye)) <= tol:
+        raise TrivialMatrixError("matrix is -I; the parametrization excludes it")
+    uplus = u + eye
+    left, sv, _ = np.linalg.svd(uplus)
+    m = int(np.sum(sv > tol))
+    basis = left[:, :m]
+    rows = list(range(n)) if m == n else _pivot_rows(basis @ basis.conj().T, m)
+    mblock, t, perm = _split(uplus, rows, m)
+    minv = np.linalg.inv(mblock)
+    r = 2.0 * minv - np.eye(m) - t @ t.conj().T
+    herm_resid = (r + r.conj().T) / 2
+    if np.linalg.norm(herm_resid) > tol * n * np.linalg.norm(minv, 2) ** 2:
+        raise ValueError("inconsistent decomposition: S_h is not Hermitian")
+    s_h = (r - r.conj().T) / 2j
+    s_h = (s_h + s_h.conj().T) / 2
+    return UnitaryParam(n=n, m=m, t=None if m == n else t, s_h=s_h, perm=perm)
+
+
+def _outcome(decompose, u):
+    try:
+        return decompose(u)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(u):
+    got, want = _outcome(decompose_unitary, u), _outcome(_reference_decompose_unitary, u)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.n, got.m, got.perm) == (want.n, want.m, want.perm)
+    assert (got.t is None) == (want.t is None)
+    assert want.t is None or np.array_equal(got.t, want.t)
+    assert np.array_equal(got.s_h, want.s_h)
 
 
 def _random_param(n, rng, scale=1.0):
@@ -287,6 +343,53 @@ class TestDecomposeUnitary:
             u = random_unitary(n, rng)
             rebuilt = build_unitary(decompose_unitary(u))
             assert np.linalg.norm(rebuilt - u) < 1e-8
+
+
+class TestDecomposeUnitaryOracle:
+    """(m, P, T, S_h) bit for bit, or the same exception, as the full-SVD
+    reference, on 541 inputs."""
+
+    @pytest.mark.parametrize("n, draws", [*((n, 20) for n in range(1, 12)), (30, 20), (100, 10)])
+    def test_haar(self, n, draws, rng):
+        for _ in range(draws):
+            _assert_matches_reference(random_unitary(n, rng))
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_eigenvalue_minus_one_each_multiplicity(self, n, rng):
+        for k in range(1, n):
+            for _ in range(4):
+                _assert_matches_reference(_minus_one_unitary(n, k, rng))
+
+    @pytest.mark.parametrize("n, k", [(30, 1), (30, 15), (30, 29), (100, 30)])
+    def test_eigenvalue_minus_one_large(self, n, k, rng):
+        for _ in range(2):
+            _assert_matches_reference(_minus_one_unitary(n, k, rng))
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("exact", [0, 5])
+    def test_near_minus_one(self, delta, exact, rng):
+        for _ in range(10):
+            _assert_matches_reference(_near_minus_one(30, delta, exact, rng))
+
+    @pytest.mark.parametrize("matrix", [-np.eye(4), 2 * np.eye(3), np.ones((2, 2))])
+    def test_same_refusal(self, matrix):
+        _assert_matches_reference(matrix)
+
+
+class TestDecomposeUnitaryCheckTightness:
+    """(1 + eps) W with eps below tol sqrt(n) / 2 passes is_unitary, so the
+    Hermitian-residual check must accept it: sigma_min from the SVD values
+    does not make the check stricter."""
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 30, 100])
+    @pytest.mark.parametrize("share", [0.5, 0.9, 0.99])
+    def test_scaled_unitaries_accepted(self, n, share, rng):
+        eps = share * DEFAULT_TOL * np.sqrt(n) / 2
+        for k in [0] * 8 + [int(x) for x in rng.integers(1, n, size=7)]:
+            u = (1 + eps) * _minus_one_unitary(n, k, rng)
+            assert is_unitary(u)
+            param = decompose_unitary(u)
+            assert param.m == n or k > 0
 
 
 class TestQuadratic:
