@@ -43,7 +43,6 @@ from .designs import (
     verify_hadamard,
 )
 from .exact import (
-    EquivalenceWitness,
     IntegerMps,
     StandardForm,
     StructureReport,
@@ -65,7 +64,6 @@ from .exact import (
 )
 from .families import (
     FAMILY_NAMES,
-    NoRealRootError,
     NotConferenceError,
     NotHadamardError,
     OutOfRangeError,

@@ -154,8 +154,3 @@ def necessary_conditions(n: int, d) -> Verdict:
             return Verdict(n, d, status, rule, decided[1], decided[0])
     raise RuntimeError("the last row of the rule table decides every pair")
 
-
-def _witness(n: int, d) -> Optional[tuple[str, Optional[IntegerMps], str]]:
-    """(rule, witness, detail) of the verdict of (n, d) if it exists, else None."""
-    v = necessary_conditions(n, d)
-    return (v.rule, v.witness, v.detail) if v.status == EXISTS else None

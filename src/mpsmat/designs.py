@@ -141,7 +141,7 @@ class SymmetricDesign:
         k = int(a[0].sum())
         if v < 2:
             raise DesignInvalidError("design needs at least two points")
-        lam = int((a[0] * a[1]).sum()) if v > 1 else 0
+        lam = int((a[0] * a[1]).sum())
         return cls(v=v, k=k, lam=lam, incidence=a)
 
     def complement(self) -> "SymmetricDesign":
@@ -160,50 +160,36 @@ def identity_design(v: int) -> SymmetricDesign:
 
 
 def verify_hadamard(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix is a (real or complex) Hadamard matrix.
-
-    Real kind (+-1 entries) is checked exactly: H H^T = N I in integers.
-    Complex kind requires unimodular entries and H H* = N I within tol * N.
-    """
-    a = as_square_matrix(matrix)
-    n = a.shape[0]
-    if not np.iscomplexobj(a):
-        try:
-            b = _as_int_matrix(a)
-        except TypeError:
-            return False
-        if not np.all(np.abs(b) == 1):
-            return False
-        return _gram_equals(b, n * np.eye(n, dtype=np.int64))
-    if np.max(np.abs(np.abs(a) - 1.0)) > tol:
-        return False
-    resid = a @ a.conj().T - n * np.eye(n)
-    return bool(np.linalg.norm(resid) <= tol * n)
+    """True iff the matrix is a (real or complex) Hadamard matrix: unimodular
+    entries and H H* = N I, exactly for the real kind (+-1 entries)."""
+    return _verify_unimodular(matrix, tol, conference=False)
 
 
 def verify_conference(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the matrix is a (real or complex Hermitian) conference matrix.
+    """True iff the matrix is a (real or complex Hermitian) conference matrix:
+    zero diagonal, unimodular off-diagonal entries and C C* = (N-1) I, exactly
+    for the real kind (+-1 off the diagonal)."""
+    return _verify_unimodular(matrix, tol, conference=True)
 
-    Zero diagonal, unimodular off-diagonal entries, C C* = (N-1) I.  Real kind
-    (+-1 off-diagonal) is checked exactly.
-    """
+
+def _verify_unimodular(matrix, tol: float, conference: bool) -> bool:
+    """Whether every entry has modulus 1, except a zero diagonal when
+    ``conference``, and M M* = (N - conference) I.  The real kind is checked
+    exactly; the complex kind within tol per modulus and tol * N in the
+    Frobenius norm of the Gram residual."""
     a = as_square_matrix(matrix)
     n = a.shape[0]
-    off = ~np.eye(n, dtype=bool)
+    moduli = 1 - conference * np.eye(n, dtype=np.int64)
+    target = (n - conference) * np.eye(n, dtype=np.int64)
     if not np.iscomplexobj(a):
         try:
             b = _as_int_matrix(a)
         except TypeError:
             return False
-        if np.any(np.diagonal(b) != 0) or not np.all(np.abs(b[off]) == 1):
-            return False
-        return _gram_equals(b, (n - 1) * np.eye(n, dtype=np.int64))
-    if np.max(np.abs(np.diagonal(a))) > tol:
+        return bool(np.array_equal(np.abs(b), moduli)) and _gram_equals(b, target)
+    if np.max(np.abs(np.abs(a) - moduli)) > tol:
         return False
-    if np.max(np.abs(np.abs(a[off]) - 1.0)) > tol:
-        return False
-    resid = a @ a.conj().T - (n - 1) * np.eye(n)
-    return bool(np.linalg.norm(resid) <= tol * n)
+    return bool(np.linalg.norm(a @ a.conj().T - target) <= tol * n)
 
 
 def sylvester_hadamard(order: int) -> np.ndarray:

@@ -128,10 +128,6 @@ class IntegerMps:
         """The Hermitian unitary matrix S = Q / sqrt(d^2 + n - 1) (float)."""
         return self.two_q / (2.0 * self.scale)
 
-    def diag_signs(self) -> np.ndarray:
-        """+1 per non-negative diagonal entry, -1 per negative one."""
-        return np.where(np.diagonal(self.two_q) >= 0, 1, -1).astype(np.int64)
-
     @property
     def p(self) -> int:
         """Number of non-negative diagonal entries (n when d = 0)."""
@@ -238,10 +234,6 @@ class Transform:
         if self.global_sign not in (-1, 1):
             raise ValueError("global sign must be +-1")
 
-    @classmethod
-    def identity(cls, n: int) -> "Transform":
-        return cls(perm=tuple(range(n)), signs=(1,) * n, global_sign=1)
-
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         p = np.asarray(self.perm)
         s = np.asarray(self.signs, dtype=matrix.dtype)
@@ -264,11 +256,6 @@ class Transform:
         inv = tuple(int(x) for x in np.argsort(self.perm))
         signs = tuple(self.signs[inv[a]] for a in range(len(inv)))
         return Transform(perm=inv, signs=signs, global_sign=self.global_sign)
-
-
-#: Witness that two matrices are equivalent; applying it to the first yields
-#: the second exactly.
-EquivalenceWitness = Transform
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ __all__ = [
     "OutOfRangeError",
     "NotHadamardError",
     "NotConferenceError",
-    "NoRealRootError",
     "Family",
     "FAMILIES",
     "FAMILY_NAMES",
@@ -68,10 +67,6 @@ class NotHadamardError(ValueError):
 
 class NotConferenceError(ValueError):
     """Auxiliary matrix is not a conference matrix of the required kind."""
-
-
-class NoRealRootError(ValueError):
-    """No phase angle in [-1, 1] solves the family's cosine equation."""
 
 
 def _block_matrix(n: int, d: float, off_block: np.ndarray) -> np.ndarray:
@@ -146,8 +141,12 @@ def conference_core_family(n: int, d: float, conference) -> np.ndarray:
     conference matrix of order n/2 + 1.
 
     B = exp(i a K) with K the conference core (zero diagonal), where cos(a)
-    solves (n-2)/4 c^2 + c + (n-6)/4 - d = 0; the larger root in [-1, 1] is
-    taken when both qualify.
+    is the larger root of f(c) = (n-2)/4 c^2 + c + (n-6)/4 - d.  That root
+    always lies in [-1, 1]: f has discriminant 1 - (n-2)((n-6)/4 - d), which
+    rises with d from 0 at the lower end of the range to n^2/4 at the upper
+    end, so the larger root (-1 + sqrt(disc)) / ((n-2)/2) rises from
+    -2/(n-2) >= -1/2 to 1.  The clamps absorb only rounding and the 1e-12
+    slack of the range check.
     """
     if n % 2 or n < 6:
         raise OutOfRangeError("n must be even and at least 6")
@@ -163,18 +162,8 @@ def conference_core_family(n: int, d: float, conference) -> np.ndarray:
     if d < lo - 1e-12 or d > hi + 1e-12:
         raise OutOfRangeError(f"d must lie in [{lo}, {hi}]")
     a2 = (n - 2) / 4.0
-    disc = 1.0 - 4.0 * a2 * ((n - 6) / 4.0 - d)
-    if disc < 0:
-        if disc > -1e-9:
-            disc = 0.0
-        else:
-            raise NoRealRootError("no real cosine solves the ratio equation")
-    roots = [(-1.0 + math.sqrt(disc)) / (2 * a2), (-1.0 - math.sqrt(disc)) / (2 * a2)]
-    valid = [r for r in roots if -1 - 1e-12 <= r <= 1 + 1e-12]
-    if not valid:
-        raise NoRealRootError("no cosine root lies in [-1, 1]")
-    cos_a = min(1.0, max(-1.0, max(valid)))
-    alpha = math.acos(cos_a)
+    disc = max(0.0, 1.0 - 4.0 * a2 * ((n - 6) / 4.0 - d))
+    alpha = math.acos(min(1.0, (-1.0 + math.sqrt(disc)) / (2 * a2)))
     _, core = normalize_to_standard(c)
     off = np.exp(1j * alpha * core.astype(float))
     return _block_matrix(n, d, off)

@@ -29,7 +29,7 @@ import json
 import numbers
 from fractions import Fraction
 from itertools import chain
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -79,31 +79,35 @@ def _parse_frac(s) -> Fraction:
         raise FormatError(f"bad rational {s!r}") from exc
 
 
+def _values(matrix: MatrixLike) -> tuple[Optional[int], np.ndarray]:
+    """The kind of a matrix value as (denominator, values): (2, 2Q) for an
+    IntegerMps, (1, the array) for an exact integer array, and (None, the
+    C-ordered complex128 array) for anything else; FormatError unless square."""
+    if isinstance(matrix, IntegerMps):
+        return 2, matrix.two_q
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise FormatError("matrix must be square")
+    if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
+        return 1, a
+    return None, np.ascontiguousarray(a, dtype=complex)
+
+
 def matrix_to_obj(matrix: MatrixLike) -> dict:
     """JSON-ready dict for a matrix value.
 
     IntegerMps and exact integer arrays serialize as kind "real-exact"
     (with/without the d field); everything else as kind "complex".
     """
-    if isinstance(matrix, IntegerMps):
-        q = matrix.two_q
-        rows = [[_frac_str(Fraction(int(x), 2)) for x in row] for row in q]
-        return {
-            "n": matrix.n,
-            "kind": "real-exact",
-            "d": _frac_str(matrix.d),
-            "q_entries": rows,
-        }
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FormatError("matrix must be square")
-    n = a.shape[0]
-    if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
-        rows = [[_frac_str(Fraction(int(x))) for x in row] for row in a]
-        return {"n": n, "kind": "real-exact", "q_entries": rows}
-    c = a.astype(complex)
-    entries = [[[float(x.real), float(x.imag)] for x in row] for row in c]
-    return {"n": n, "kind": "complex", "entries": entries}
+    denominator, a = _values(matrix)
+    if denominator is None:
+        entries = [[[float(x.real), float(x.imag)] for x in row] for row in a]
+        return {"n": len(a), "kind": "complex", "entries": entries}
+    obj = {"n": len(a), "kind": "real-exact"}
+    if denominator == 2:
+        obj["d"] = _frac_str(matrix.d)
+    obj["q_entries"] = [[_frac_str(Fraction(int(x), denominator)) for x in row] for row in a]
+    return obj
 
 
 def matrix_from_obj(obj: dict) -> MatrixLike:
@@ -162,20 +166,14 @@ def dumps_matrix(matrix: MatrixLike) -> str:
     indent=2)``, written directly: exact rows through the row formatter of the
     search document, complex parts with ``float.__repr__`` (``json.dumps`` when
     a part is not finite)."""
-    if isinstance(matrix, IntegerMps):
-        d = json.dumps(_frac_str(matrix.d))
-        head = f'{{\n  "n": {matrix.n},\n  "kind": "real-exact",\n  "d": {d},\n  "q_entries": '
-        body = _exact_rows(matrix.two_q, 2, 4)(matrix.two_q)
+    denominator, a = _values(matrix)
+    if denominator is None:
+        head = f'{{\n  "n": {len(a)},\n  "kind": "complex",\n  "entries": '
+        body = _complex_rows(a)
     else:
-        a = np.asarray(matrix)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise FormatError("matrix must be square")
-        if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
-            head = f'{{\n  "n": {len(a)},\n  "kind": "real-exact",\n  "q_entries": '
-            body = _exact_rows(a, 1, 4)(a)
-        else:
-            head = f'{{\n  "n": {len(a)},\n  "kind": "complex",\n  "entries": '
-            body = _complex_rows(np.ascontiguousarray(a, dtype=complex))
+        d = f'  "d": {json.dumps(_frac_str(matrix.d))},\n' if denominator == 2 else ""
+        head = f'{{\n  "n": {len(a)},\n  "kind": "real-exact",\n{d}  "q_entries": '
+        body = _exact_rows(a, denominator, 4)(a)
     return head + (f"[\n{body}\n  ]" if body else "[]") + "\n}"
 
 
@@ -270,20 +268,17 @@ def _complex_csv(x: complex) -> str:
 
 
 def matrix_to_csv(matrix: MatrixLike) -> str:
-    """CSV rows: complex entries as "re+imi" strings, exact ones as rationals."""
-    if isinstance(matrix, IntegerMps):
-        q = matrix.two_q
-        lines = [
-            ",".join(_frac_str(Fraction(int(x), 2)) for x in row) for row in q
-        ]
-        return "\n".join(lines) + "\n"
-    a = np.asarray(matrix)
-    if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
-        lines = [",".join(str(int(x)) for x in row) for row in a]
-        return "\n".join(lines) + "\n"
-    c = a.astype(complex)
-    lines = [",".join(_complex_csv(x) for x in row) for row in c]
-    return "\n".join(lines) + "\n"
+    """CSV rows: complex entries as "re+imi" strings, exact ones as rationals
+    (plain integers for an integer array); FormatError unless square."""
+    denominator, a = _values(matrix)
+    if denominator is None:
+        cell = _complex_csv
+    elif denominator == 1:
+        cell = str
+    else:
+        def cell(x):
+            return _frac_str(Fraction(x, 2))
+    return "\n".join(",".join(map(cell, row)) for row in a.tolist()) + "\n"
 
 
 def _complex_rows_to_obj(a: np.ndarray) -> list:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import sign_matrix, _H12_ROWS
+from oracles import naive_search
 from mpsmat.classify import IMPOSSIBLE_STATUS, necessary_conditions
 from mpsmat.core import (
     check_trace_identity,
@@ -64,7 +65,6 @@ from mpsmat.search import (
     are_equivalent,
     candidate_ratios,
     exhaustive_search,
-    naive_search,
 )
 
 TOL = 1e-9

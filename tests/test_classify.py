@@ -210,9 +210,9 @@ def _rational_conditions(n, d):
 
     design_range = d.denominator == 1 and Fraction(n, 4) - Fraction(3, 2) <= d < half - 1
     params = design_params_for(n, int(d)) if design_range else None
-    found = classify._witness(n, d)
-    if found is not None:
-        rule, witness, note = found
+    found = necessary_conditions(n, d)
+    if found.status == EXISTS:
+        rule, witness, note = found.rule, found.witness, found.detail
         if params is not None and params.lam == 0:
             note = f"existence rests on the degenerate ({n // 2}, 1, 0)-design (lam = 0)"
             if rule == "design":

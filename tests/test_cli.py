@@ -11,9 +11,10 @@ import pytest
 from conftest import random_unitary
 from mpsmat.classify import necessary_conditions
 from mpsmat.cli import _verdict_text, main
-from mpsmat.designs import sylvester_hadamard
+from mpsmat.designs import fourier_complex_hadamard, sylvester_hadamard
 from mpsmat.families import n2_matrix
-from mpsmat.serialize import dumps_matrix, loads_matrix, matrix_to_obj
+from mpsmat.parametrize import UnitaryParam, build_unitary
+from mpsmat.serialize import dumps_matrix, loads_matrix, matrix_to_obj, param_from_obj
 
 
 def run(capsys, *argv):
@@ -401,6 +402,27 @@ class TestParamCommands:
                      "--out", str(p_path)]) == 0
         assert json.loads(p_path.read_text())["S_h"] is not None
 
+    @pytest.mark.parametrize("source", ["complex_core", "haar"])
+    def test_decode_general_parameters(self, capsys, tmp_path, source):
+        # complex_core n = 6 has the eigenvalue -1, so m < n; the Haar draw has
+        # m = n and "T": null.
+        m_path = tmp_path / "u.json"
+        if source == "haar":
+            m_path.write_text(dumps_matrix(random_unitary(6, np.random.default_rng(2011))))
+        else:
+            assert main(["construct", "--family", "complex_core", "--n", "6",
+                         "--out", str(m_path)]) == 0
+        p_path = tmp_path / "p.json"
+        assert main(["param", "encode", str(m_path), "--general", "--out", str(p_path)]) == 0
+        param = param_from_obj(json.loads(p_path.read_text()))
+        assert isinstance(param, UnitaryParam)
+        assert (param.m < param.n, param.t is None) == (source == "complex_core", source == "haar")
+        code, out = run(capsys, "param", "decode", str(p_path))
+        assert code == 0
+        rebuilt = loads_matrix(out)
+        assert np.array_equal(rebuilt, build_unitary(param))
+        assert np.max(np.abs(rebuilt - loads_matrix(m_path.read_text()))) < 1e-9
+
     # sha256 of the ``param encode`` stdout for a seeded Haar unitary (m = n,
     # identity P) and for a complex_core member encoded with --general (m = 3
     # of n = 6, pivoted P), pinned from the decomposer that took m, P and
@@ -470,6 +492,14 @@ class TestBridgeExtractScatter:
         assert main(["bridge", str(h_path), "--out", str(back_path)]) == 0
         back = json.loads(back_path.read_text())
         assert back["n"] == 14 and back["d"] == "2/1"
+
+    def test_bridge_refuses_a_complex_matrix(self, capsys, tmp_path):
+        f_path = tmp_path / "f.json"
+        f_path.write_text(dumps_matrix(fourier_complex_hadamard(4)))
+        assert main(["bridge", str(f_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bridge takes a real-exact MPS matrix or a Hadamard matrix\n"
 
     def test_extract_design(self, capsys, tmp_path):
         m_path = tmp_path / "m.json"

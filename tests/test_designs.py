@@ -133,6 +133,39 @@ class TestFourier:
         assert peak - held < 10 * 2**20, (peak, held)
 
 
+def _with_diagonal(a, value):
+    b = np.array(a, dtype=complex)
+    np.fill_diagonal(b, value)
+    return b
+
+
+class TestVerifyUnimodular:
+    """verify_hadamard and verify_conference share one check: the moduli (a zero
+    diagonal for conference matrices) and the Gram identity, exact for the real
+    kind and within tol for the complex kind."""
+
+    @pytest.mark.parametrize("matrix, hadamard, conference", [
+        (np.array([[0]]), False, True),
+        (np.array([[0j]]), False, True),
+        (np.array([[1]]), True, False),
+        (np.array([[1j]]), True, False),
+        (sylvester_hadamard(4), True, False),
+        (fourier_complex_hadamard(3), True, False),
+        (1.001 * fourier_complex_hadamard(3), False, False),
+        (paley_conference(6), False, True),
+        (paley_conference(6).astype(complex), False, True),
+        (_with_diagonal(paley_conference(6), 1e-12), False, True),
+        (_with_diagonal(paley_conference(6), 1e-6), False, False),
+        (2 * paley_conference(6), False, False),
+        (paley_conference(6) + 0.5, False, False),
+    ], ids=["zero", "zero-complex", "one", "one-complex", "sylvester-4", "fourier-3",
+            "fourier-3-scaled", "paley-6", "paley-6-complex", "paley-6-diagonal-in-tol",
+            "paley-6-diagonal-past-tol", "paley-6-doubled", "paley-6-non-integer"])
+    def test_kinds(self, matrix, hadamard, conference):
+        assert verify_hadamard(matrix) is hadamard
+        assert verify_conference(matrix) is conference
+
+
 class TestNormalize:
     def test_sylvester_core(self):
         std, core = normalize_to_standard(sylvester_hadamard(4))

@@ -148,6 +148,21 @@ class TestConferenceCore:
     def test_interior(self):
         assert_member(conference_core_family(10, 2.0, paley_conference(6)), 2.0)
 
+    @pytest.mark.parametrize("n", [10, 26, 34, 58])
+    @pytest.mark.parametrize("end", ["floor", "floor-slack", "top", "top-slack"])
+    def test_members_at_both_ends_and_within_the_slack(self, n, end):
+        lo, hi = n / 4 - 1.5 - 1 / (n - 2), n / 2 - 1
+        d = {"floor": lo, "floor-slack": lo - 1e-12, "top": hi, "top-slack": hi + 1e-12}[end]
+        assert_member(conference_core_family(n, d, paley_conference(n // 2 + 1)), d)
+
+    def test_slack_below_the_floor_at_large_order_is_the_floor_member(self):
+        # At n = 1018 the 1e-12 slack below the floor takes the discriminant
+        # under -1e-9; the root is still the floor's.
+        n, c = 1018, paley_conference(510)
+        lo = n / 4 - 1.5 - 1 / (n - 2)
+        floor = conference_core_family(n, lo, c)
+        assert np.allclose(conference_core_family(n, lo - 1e-12, c), floor, rtol=0, atol=1e-9)
+
     def test_rejects_below_interval(self):
         with pytest.raises(OutOfRangeError):
             conference_core_family(10, 0.875 - 1e-6, paley_conference(6))

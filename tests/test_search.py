@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_search
 from mpsmat import search
 from mpsmat.classify import EXISTS, IMPOSSIBLE_STATUS, necessary_conditions
 from mpsmat.exact import (
@@ -35,7 +36,6 @@ from mpsmat.search import (
     canonical_transform,
     count_search,
     exhaustive_search,
-    naive_search,
 )
 
 # The admissible ratios for small orders; the search must reproduce these and

@@ -124,6 +124,14 @@ class TestCsv:
         text = matrix_to_csv(paley_conference(6))
         assert text.splitlines()[0] == "0,1,1,1,1,1"
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3), dtype=np.int64), np.ones((2, 3)),
+                                        np.ones(3, dtype=complex)],
+                             ids=["integer", "float", "one-dimensional"])
+    def test_non_square_refused_like_the_json_writers(self, matrix):
+        for write in (matrix_to_csv, matrix_to_obj, dumps_matrix):
+            with pytest.raises(FormatError, match="square"):
+                write(matrix)
+
 
 class TestParams:
     def test_hermitian_round_trip(self, rng):
