@@ -349,39 +349,45 @@ def _cmd_scatter(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser tree, built on first use; parse_args gives a fresh namespace.
+    Each option that several subcommands read is defined once, in a parent
+    parser; --help lists those before a command's own options."""
+    def parent(*name_or_flags, **kwargs) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*name_or_flags, **kwargs)
+        return p
 
+    out = parent("--out", default=None, help="output path (default stdout)")
+    file = parent("file", nargs="?", default=None)
+    fmt = parent("--format", choices=("json", "csv"), default="json")
+    tol = parent("--tol", type=_tolerance, default=core.DEFAULT_TOL)
 
-def build_parser() -> argparse.ArgumentParser:
+    def command(group, name, func, help, *parents) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=help, parents=[out, *parents])
+        p.set_defaults(func=func)
+        return p
+
     parser = _Parser(prog="mpsmat",
                      description="Hermitian unitary MPS matrices: construct, "
                                  "verify, classify, search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a family member")
+    p = command(sub, "construct", _cmd_construct, "build a family member", fmt)
     p.add_argument("--family", required=True, choices=families.FAMILY_NAMES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=_parse_ratio, default=None)
     p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--aux", default=None, help="auxiliary matrix/design file")
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="check a matrix file")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
-    p.set_defaults(func=_cmd_verify)
+    command(sub, "verify", _cmd_verify, "check a matrix file", file, tol)
 
-    p = sub.add_parser("classify", help="existence verdict for (n, d)")
+    p = command(sub, "classify", _cmd_classify, "existence verdict for (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=_parse_ratio, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("search", help="exhaustive real search")
+    p = command(sub, "search", _cmd_search, "exhaustive real search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=_parse_ratio, default=None)
     p.add_argument("--canonical", action="store_true",
@@ -392,80 +398,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_finite_float, default=None, help="seconds")
     p.add_argument("--count-only", action="store_true",
                    help="report counts without serializing the matrices")
-    _add_common(p)
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("canon", help="canonical form of a real-exact matrix")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_canon)
+    command(sub, "canon", _cmd_canon, "canonical form of a real-exact matrix", file, fmt)
 
-    p = sub.add_parser("equiv", help="equivalence witness between two matrices")
+    p = command(sub, "equiv", _cmd_equiv, "equivalence witness between two matrices")
     p.add_argument("file1")
     p.add_argument("file2")
-    _add_common(p)
-    p.set_defaults(func=_cmd_equiv)
 
     actions = sub.add_parser("param", help="encode/decode unitary parameters")
     actions = actions.add_subparsers(dest="action", required=True)
-    p = actions.add_parser("encode", help="parameters of a unitary matrix")
-    p.add_argument("file", nargs="?", default=None)
+    p = command(actions, "encode", _cmd_param_encode, "parameters of a unitary matrix",
+                file, tol)
     p.add_argument("--general", action="store_true",
                    help="force the general-unitary parametrization")
-    _add_common(p)
-    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
-    p.set_defaults(func=_cmd_param_encode)
-    p = actions.add_parser("decode", help="the unitary matrix of a parameter file")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_param_decode)
+    command(actions, "decode", _cmd_param_decode, "the unitary matrix of a parameter file",
+            file, fmt)
 
     actions = sub.add_parser("designs", help="design and provider utilities")
     actions = actions.add_subparsers(dest="action", required=True)
-    p = actions.add_parser("make", help="a Hadamard, conference or Fourier matrix")
+    p = command(actions, "make", _cmd_designs_make,
+                "a Hadamard, conference or Fourier matrix", fmt)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--hadamard", type=int, default=None)
     which.add_argument("--conference", type=int, default=None)
     which.add_argument("--fourier", type=int, default=None)
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_designs_make)
-    p = actions.add_parser("verify", help="check a design file")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_designs_verify)
-    p = actions.add_parser("from-hadamard", help="the design of a Hadamard matrix")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_designs_from_hadamard)
+    command(actions, "verify", _cmd_designs_verify, "check a design file", file)
+    command(actions, "from-hadamard", _cmd_designs_from_hadamard,
+            "the design of a Hadamard matrix", file)
 
-    p = sub.add_parser("extract-design", help="design behind a real matrix")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_extract_design)
+    command(sub, "extract-design", _cmd_extract_design, "design behind a real matrix", file)
+    command(sub, "bridge", _cmd_bridge, "matrix <-> Hadamard bridge (by input kind)",
+            file, fmt)
 
-    p = sub.add_parser("bridge", help="matrix <-> Hadamard bridge (by input kind)")
-    p.add_argument("file", nargs="?", default=None)
-    _add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_bridge)
-
-    p = sub.add_parser("scatter", help="scattering probabilities from one edge")
-    p.add_argument("file", nargs="?", default=None)
+    p = command(sub, "scatter", _cmd_scatter, "scattering probabilities from one edge",
+                file, tol)
     p.add_argument("--edge", type=int, required=True, help="1-based edge index")
-    _add_common(p)
-    p.add_argument("--tol", type=_tolerance, default=core.DEFAULT_TOL)
-    p.set_defaults(func=_cmd_scatter)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser tree, built on first use; parse_args gives a fresh namespace."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

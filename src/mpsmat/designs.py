@@ -133,26 +133,6 @@ class SymmetricDesign:
         object.__setattr__(self, "incidence", a)
         object.__setattr__(self, "degenerate", self.lam == 0)
 
-    @classmethod
-    def from_incidence(cls, incidence) -> "SymmetricDesign":
-        """Infer (v, k, lam) from a 0/1 matrix and verify it."""
-        a = _as_int_matrix(incidence)
-        v = a.shape[0]
-        k = int(a[0].sum())
-        if v < 2:
-            raise DesignInvalidError("design needs at least two points")
-        lam = int((a[0] * a[1]).sum())
-        return cls(v=v, k=k, lam=lam, incidence=a)
-
-    def complement(self) -> "SymmetricDesign":
-        """The complementary (v, v-k, v-2k+lam)-design."""
-        return SymmetricDesign(
-            v=self.v,
-            k=self.v - self.k,
-            lam=self.v - 2 * self.k + self.lam,
-            incidence=1 - self.incidence,
-        )
-
 
 def identity_design(v: int) -> SymmetricDesign:
     """The degenerate (v, 1, 0)-design whose incidence matrix is the identity."""

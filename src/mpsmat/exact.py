@@ -78,6 +78,29 @@ class ParameterMismatchError(ValueError):
     """Design parameters do not match the requested (n, d)."""
 
 
+def _as_int64(values) -> np.ndarray:
+    """``values`` as an int64 array, converted exactly: TypeError for an entry
+    that is not an integer (``np.asarray(values, dtype=np.int64)`` would
+    truncate it), NotInRangeError for an integer beyond the int64 range.  An
+    array of an integer dtype that int64 holds costs only the dtype test."""
+    a = np.asarray(values)
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64, copy=False)
+    ints = []
+    for x in a.ravel().tolist():
+        try:
+            i = int(x)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != x:
+            raise TypeError(f"expected exact integer entries, got {x!r}")
+        ints.append(i)
+    try:
+        return np.array(ints, dtype=np.int64).reshape(a.shape)
+    except OverflowError as exc:
+        raise NotInRangeError("entries beyond the int64 range") from exc
+
+
 def _as_fraction(d) -> Fraction:
     f = Fraction(d)
     if f < 0:
@@ -99,10 +122,7 @@ class IntegerMps:
 
     def __post_init__(self):
         d = _as_fraction(self.d)
-        try:
-            q = np.asarray(self.two_q, dtype=np.int64)
-        except OverflowError as exc:
-            raise NotInRangeError("2Q has entries beyond the int64 range") from exc
+        q = _as_int64(self.two_q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("2Q must be square")
         object.__setattr__(self, "d", d)
@@ -148,7 +168,7 @@ class IntegerMps:
     @classmethod
     def from_two_q(cls, two_q) -> "IntegerMps":
         """Infer d from the diagonal of a doubled matrix and validate."""
-        q = np.asarray(two_q, dtype=np.int64)
+        q = _as_int64(two_q)
         two_d = int(np.max(np.abs(np.diagonal(q)))) if q.size else 0
         return cls(d=Fraction(two_d, 2), two_q=q)
 
@@ -600,7 +620,7 @@ def upper_interval_mps(n: int, d) -> IntegerMps:
 
 
 def _symmetric_conference(conference) -> np.ndarray:
-    c = np.asarray(conference, dtype=np.int64)
+    c = _as_int64(conference)
     if not np.array_equal(c, c.T) or not verify_conference(c):
         raise ValueError("input is not a symmetric real conference matrix")
     return c

@@ -82,12 +82,13 @@ def _parse_frac(s) -> Fraction:
 def _values(matrix: MatrixLike) -> tuple[Optional[int], np.ndarray]:
     """The kind of a matrix value as (denominator, values): (2, 2Q) for an
     IntegerMps, (1, the array) for an exact integer array, and (None, the
-    C-ordered complex128 array) for anything else; FormatError unless square."""
+    C-ordered complex128 array) for anything else; FormatError unless square
+    of order at least 1, the documents loads_matrix reads."""
     if isinstance(matrix, IntegerMps):
         return 2, matrix.two_q
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise FormatError("matrix must be square")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise FormatError("matrix must be square, of order at least 1")
     if not np.iscomplexobj(a) and np.issubdtype(a.dtype, np.integer):
         return 1, a
     return None, np.ascontiguousarray(a, dtype=complex)
@@ -269,7 +270,8 @@ def _complex_csv(x: complex) -> str:
 
 def matrix_to_csv(matrix: MatrixLike) -> str:
     """CSV rows: complex entries as "re+imi" strings, exact ones as rationals
-    (plain integers for an integer array); FormatError unless square."""
+    (plain integers for an integer array); FormatError unless square, of order
+    at least 1."""
     denominator, a = _values(matrix)
     if denominator is None:
         cell = _complex_csv

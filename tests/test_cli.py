@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import random_unitary
 from mpsmat.classify import necessary_conditions
-from mpsmat.cli import _verdict_text, main
+from mpsmat.cli import _parser, _verdict_text, main
 from mpsmat.designs import fourier_complex_hadamard, sylvester_hadamard
 from mpsmat.families import n2_matrix
 from mpsmat.parametrize import UnitaryParam, build_unitary
@@ -674,6 +675,110 @@ class TestParserReuse:
                 written = out.read_text() if out.exists() else None
                 outputs.append((code, stdout, stderr, written))
             assert outputs[0] == outputs[1], template
+
+
+# One option as (flags, nargs, default, required, choices, type, action class, help).
+_OUT = (("--out",), None, None, False, None, None, "_StoreAction", "output path (default stdout)")
+_FILE = ((), "?", None, False, None, None, "_StoreAction", None)
+_FORMAT = (("--format",), None, "json", False, ("json", "csv"), None, "_StoreAction", None)
+_TOL = (("--tol",), None, 1e-09, False, None, "_tolerance", "_StoreAction", None)
+_N = (("--n",), None, None, True, None, "int", "_StoreAction", None)
+_RATIO = (("--d",), None, None, False, None, "_parse_ratio", "_StoreAction", None)
+_INT = (None, None, None, False, None, "int", "_StoreAction", None)
+_FLAG = (None, 0, False, False, None, None, "_StoreTrueAction", None)
+_FAMILIES = ("full_j", "n2", "upper_interval", "hadamard_core", "conference_core",
+             "complex_core", "conference_block", "design_complex", "design_real")
+
+
+def _option(base, flag, **fields):
+    names = ("flags", "nargs", "default", "required", "choices", "type", "action", "help")
+    row = dict(zip(names, base), **fields)
+    if flag is not None:
+        row["flags"] = (flag,)
+    return tuple(row[k] for k in names)
+
+
+#: Every leaf subcommand: its handler, its options by dest and its mutually
+#: exclusive groups as (required, dests).
+_SURFACE = {
+    "construct": ("_cmd_construct", {
+        "family": _option(_N, "--family", type=None, choices=_FAMILIES),
+        "n": _N,
+        "d": _RATIO,
+        "alpha": _option(_RATIO, "--alpha", type="_finite_float"),
+        "aux": _option(_RATIO, "--aux", type=None, help="auxiliary matrix/design file"),
+        "out": _OUT, "format": _FORMAT}, []),
+    "verify": ("_cmd_verify", {"file": _FILE, "out": _OUT, "tol": _TOL}, []),
+    "classify": ("_cmd_classify", {
+        "n": _N, "d": _option(_RATIO, None, required=True), "out": _OUT}, []),
+    "search": ("_cmd_search", {
+        "n": _N,
+        "d": _RATIO,
+        "canonical": _option(_FLAG, "--canonical",
+                             help="one representative per equivalence class"),
+        "max_results": _option(_INT, "--max-results", help=(
+            "stop after this many hits per ratio; without --canonical, "
+            "the first hits of the complete output")),
+        "budget": _option(_RATIO, "--budget", type="_finite_float", help="seconds"),
+        "count_only": _option(_FLAG, "--count-only",
+                              help="report counts without serializing the matrices"),
+        "out": _OUT}, []),
+    "canon": ("_cmd_canon", {"file": _FILE, "out": _OUT, "format": _FORMAT}, []),
+    "equiv": ("_cmd_equiv", {
+        "file1": _option(_FILE, None, nargs=None, required=True),
+        "file2": _option(_FILE, None, nargs=None, required=True),
+        "out": _OUT}, []),
+    "param encode": ("_cmd_param_encode", {
+        "file": _FILE,
+        "general": _option(_FLAG, "--general",
+                           help="force the general-unitary parametrization"),
+        "out": _OUT, "tol": _TOL}, []),
+    "param decode": ("_cmd_param_decode", {"file": _FILE, "out": _OUT, "format": _FORMAT}, []),
+    "designs make": ("_cmd_designs_make", {
+        "hadamard": _option(_INT, "--hadamard"),
+        "conference": _option(_INT, "--conference"),
+        "fourier": _option(_INT, "--fourier"),
+        "out": _OUT, "format": _FORMAT}, [(True, ("hadamard", "conference", "fourier"))]),
+    "designs verify": ("_cmd_designs_verify", {"file": _FILE, "out": _OUT}, []),
+    "designs from-hadamard": ("_cmd_designs_from_hadamard", {"file": _FILE, "out": _OUT}, []),
+    "extract-design": ("_cmd_extract_design", {"file": _FILE, "out": _OUT}, []),
+    "bridge": ("_cmd_bridge", {"file": _FILE, "out": _OUT, "format": _FORMAT}, []),
+    "scatter": ("_cmd_scatter", {
+        "file": _FILE,
+        "edge": _option(_N, "--edge", help="1-based edge index"),
+        "out": _OUT, "tol": _TOL}, []),
+}
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) for every leaf subcommand of the tree."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaves(child, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def _surface(parser):
+    options = {
+        a.dest: (tuple(a.option_strings), a.nargs, a.default, a.required,
+                 None if a.choices is None else tuple(a.choices),
+                 getattr(a.type, "__name__", a.type), type(a).__name__, a.help)
+        for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+    groups = [(g.required, tuple(a.dest for a in g._group_actions))
+              for g in parser._mutually_exclusive_groups]
+    return parser.get_default("func").__name__, options, groups
+
+
+def test_option_surface_of_every_leaf_subcommand():
+    """Each leaf subcommand accepts exactly the options of the table, each with
+    its flags, arity, default, choices, type, action and help, and runs its
+    handler; the order in which --help lists them is free."""
+    tree = dict(_leaves(_parser()))
+    assert list(tree) == list(_SURFACE)
+    for path, parser in tree.items():
+        assert _surface(parser) == _SURFACE[path], path
 
 
 _BAD_CELL_DOCS = [

@@ -51,17 +51,13 @@ class TestVerifyDesign:
         assert not verify_design(bad, 7, 3, 1)
 
     def test_design_type_infers_parameters(self):
-        d = SymmetricDesign.from_incidence(FANO)
+        d = SymmetricDesign(v=7, k=3, lam=1, incidence=FANO)
         assert (d.v, d.k, d.lam) == (7, 3, 1)
         assert not d.degenerate
 
     def test_design_type_rejects_invalid(self):
         with pytest.raises(DesignInvalidError):
             SymmetricDesign(v=7, k=3, lam=2, incidence=FANO)
-
-    def test_complement(self):
-        c = SymmetricDesign.from_incidence(FANO).complement()
-        assert (c.v, c.k, c.lam) == (7, 4, 2)
 
 
 class TestSylvester:

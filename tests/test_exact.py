@@ -11,6 +11,7 @@ from mpsmat.designs import (
     identity_design,
     paley_conference,
     sylvester_hadamard,
+    verify_conference,
     verify_design,
     verify_hadamard,
 )
@@ -71,6 +72,21 @@ class TestIntegerMps:
     def test_from_two_q_infers_d(self):
         m = IntegerMps.from_two_q(full_j_mps(5).two_q)
         assert m.d == Fraction(3, 2)
+
+    @pytest.mark.parametrize("build", [lambda q: IntegerMps(d=1, two_q=q),
+                                       IntegerMps.from_two_q], ids=["init", "from_two_q"])
+    def test_entries_converted_exactly(self, build):
+        # Non-integers are refused, not truncated to the member [[2, 2], [2, -2]].
+        for q in ([[2.9, 2.5], [2.2, -2.7]], [[2, 2], [2, -2 + 1e-9]], [[2, 2j], [-2j, -2]],
+                  [[2, 2], [2, float("nan")]], [[2, 2], [2, Fraction(-5, 2)]]):
+            with pytest.raises(TypeError):
+                build(q)
+        for q in ([[2, 2], [2, -10**20]], [[2, 2], [2, -1e20]]):
+            with pytest.raises(NotInRangeError):
+                build(q)
+        exact_floats = build(np.array([[2.0, 2.0], [2.0, -2.0]]))
+        assert exact_floats == build(np.array([[2, 2], [2, -2]], dtype=np.int8))
+        assert exact_floats.two_q.dtype == np.int64
 
     def test_half_integer_ratio_odd_order(self):
         m = full_j_mps(3)
@@ -359,3 +375,22 @@ class TestHadamardBridge:
     def test_wrong_ratio(self):
         with pytest.raises(WrongRatioError):
             hadamard_bridge(full_j_mps(6))  # d = 2 != 6/4 - 3/2
+
+
+class TestConferenceBuilders:
+    def test_non_integer_entries_refused(self):
+        # Truncated, either input was a symmetric conference matrix.
+        half = np.array([[0, 1.5], [1.5, 0]])
+        assert not verify_conference(half)
+        with pytest.raises(TypeError):
+            conference_mps(half)
+        c = paley_conference(6).astype(float)
+        c[0, 1] = c[1, 0] = 1.7
+        assert not verify_conference(c)
+        with pytest.raises(TypeError):
+            conference_block_mps(c)
+
+    def test_exact_float_input_builds_the_integer_member(self):
+        c = paley_conference(6)
+        assert conference_mps(c.astype(float)) == conference_mps(c)
+        assert conference_block_mps(c.astype(float)) == conference_block_mps(c)
