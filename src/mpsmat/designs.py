@@ -58,7 +58,12 @@ class DesignInvalidError(ValueError):
 
 
 def _as_int_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a new square int64 array; TypeError unless every entry
+    is a real integer.  An array of an integer dtype that int64 holds is
+    copied after the dtype test, with no rounding pass."""
     a = as_square_matrix(matrix)
+    if np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64)
     if np.iscomplexobj(a):
         raise TypeError("expected a real integer matrix")
     b = np.asarray(np.rint(a), dtype=np.int64)

@@ -143,15 +143,21 @@ def _projector_core(m: int, n: int, t: np.ndarray) -> np.ndarray:
     return b @ np.linalg.solve(gram, b.conj().T)
 
 
+def _assemble(core: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """-I + 2 P core P^{-1}, with no gather when P is the identity."""
+    n = core.shape[0]
+    if perm != tuple(range(n)):
+        p = np.asarray(perm)
+        core = core[np.ix_(p, p)]
+    return -np.eye(n, dtype=complex) + 2.0 * core
+
+
 def build_hermitian_unitary(param: HermitianUnitaryParam) -> np.ndarray:
     """Assemble S = -I + 2 P [I; T*](I + T T*)^{-1}[I T] P^{-1}.
 
     Always Hermitian unitary with trace 2m - n, by construction.
     """
-    n, m = param.n, param.m
-    core = _projector_core(m, n, param.t)
-    p = np.asarray(param.perm)
-    return -np.eye(n, dtype=complex) + 2.0 * core[np.ix_(p, p)]
+    return _assemble(_projector_core(param.m, param.n, param.t), param.perm)
 
 
 def eigenbasis_from_param(param: HermitianUnitaryParam) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +188,17 @@ def _pivot_rows(gram: np.ndarray, m: int) -> list[int]:
     diag = gram.diagonal().real.copy()
     slack = n * np.finfo(float).eps * diag.max()
     rows: list[int] = []
+    near = np.empty(n, dtype=bool)
     for k in range(m):
-        j = int(np.argmax(diag >= diag.max() - slack))
+        j = int(np.greater_equal(diag, diag.max() - slack, out=near).argmax())
         rows.append(j)
-        col = (gram[:, j] - factor[:, :k] @ factor[j, :k].conj()) / np.sqrt(diag[j])
-        factor[:, k] = col
+        col = factor[:, k]
+        np.subtract(gram[:, j], factor[:, :k] @ factor[j, :k].conj(), out=col)
+        col /= np.sqrt(diag[j])
         diag -= col.real ** 2 + col.imag ** 2
         diag[j] = -np.inf
-    return rows + [i for i in range(n) if i not in rows]
+    chosen = set(rows)
+    return rows + [i for i in range(n) if i not in chosen]
 
 
 def _split(a: np.ndarray, rows: list[int], m: int):
@@ -238,7 +247,7 @@ def build_unitary(param: UnitaryParam) -> np.ndarray:
     definite), so every parameter choice yields a unitary matrix whose
     eigenvalue -1 has multiplicity n - m.
     """
-    n, m = param.n, param.m
+    m = param.m
     if param.t is None:
         inner = np.eye(m, dtype=complex) + 1j * param.s_h
         core = np.linalg.inv(inner)
@@ -247,27 +256,43 @@ def build_unitary(param: UnitaryParam) -> np.ndarray:
         b = np.vstack([np.eye(m, dtype=complex), t.conj().T])
         inner = np.eye(m, dtype=complex) + t @ t.conj().T + 1j * param.s_h
         core = b @ np.linalg.solve(inner, b.conj().T)
-    p = np.asarray(param.perm)
-    return -np.eye(n, dtype=complex) + 2.0 * core[np.ix_(p, p)]
+    return _assemble(core, param.perm)
 
 
 def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     """Recover (m, T, S_h, P) from a unitary matrix different from -I.
 
-    One values-only SVD of U + I fixes m, the number of singular values
-    above ``tol`` (the trace is not usable: the eigenvalues are not
-    restricted to +-1).  When m = n, P is the identity, M = U + I and
-    ||M^{-1}||_2 = 1/sigma_min(M) comes from the same values.  Only when U
-    has the eigenvalue -1 (m < n) are singular vectors computed: P puts first
-    the m rows that greedy diagonal-pivoted Cholesky picks on the projector
-    onto the m leading left singular vectors of U + I, then the others in
-    ascending order (pivoting on (U + I)(U + I)* instead would square a
-    singular value of 1e-8 below rounding), and sigma_min(M) comes from a
-    values-only SVD of the m x m block.  S_h is the anti-Hermitian part of
-    2 M^{-1} - I - T T*, divided by i.  Its Hermitian part vanishes for an
-    exact unitary, and the unitarity defect that ``is_unitary`` accepts
-    (tol * n) grows by at most ||M^{-1}||_2^2 through the inverse, so a
-    larger Hermitian part raises.
+    m is the number of singular values of U + I above ``tol`` (the trace is
+    not usable: the eigenvalues are not restricted to +-1).  With M the
+    leading m x m block of P^{-1} (U + I) P, S_h is the anti-Hermitian part
+    of R = 2 M^{-1} - I - T T*, divided by i.  The Hermitian part of R
+    vanishes for an exact unitary, and the unitarity defect that
+    ``is_unitary`` accepts (tol * n) grows by at most ||M^{-1}||_2^2 through
+    the inverse, so ||herm(R)||_F > tol * n / sigma_min(M)^2 raises.
+
+    The inverse comes first: M^{-1} = (U + I)^{-1}, and two bounds on its
+    Frobenius norm settle the case m = n (U lacks the eigenvalue -1, as
+    almost every sampled unitary does) without any SVD:
+
+    - tol * ||M^{-1}||_F <= 1e-3 (and tol >= n eps) takes m = n, P = I and
+      no T.  Since sigma_min(M) = 1/||M^{-1}||_2 >= 1/||M^{-1}||_F, every
+      singular value is at least 1000 tol, while the SVD's absolute rounding
+      is a modest multiple of n eps ||U + I||_2 <= 2 n eps, far below 999 tol:
+      the SVD would count all n values above tol;
+    - ||herm(R)||_F <= tol * ||M^{-1}||_F^2 / 2 accepts the residual.  It
+      implies the check above, since ||M^{-1}||_2^2 >= ||M^{-1}||_F^2 / n;
+      the factor 1/2 covers the rounding of both norms.
+
+    When only the second bound fails, m = n stands and a values-only SVD of
+    U + I gives sigma_min(M) for the exact check.  Every other case (the
+    first bound fails, the inverse raises LinAlgError, or its norm is NaN or
+    infinite) takes the exact path.  One full SVD of U + I gives m and, when
+    U has the eigenvalue -1 (m < n), its m leading left singular vectors: P
+    puts first the m rows that greedy diagonal-pivoted Cholesky picks on the
+    projector onto them, then the others in ascending order (pivoting on
+    (U + I)(U + I)* instead would square a singular value of 1e-8 below
+    rounding), and sigma_min(M) comes from a values-only SVD of the m x m
+    block.  Every path gives the same parameters bit for bit.
     """
     u = as_square_matrix(matrix).astype(complex)
     n = u.shape[0]
@@ -277,23 +302,39 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     if np.max(np.abs(u + eye)) <= tol:
         raise TrivialMatrixError("matrix is -I; the parametrization excludes it")
     uplus = u + eye
-    sv = np.linalg.svd(uplus, compute_uv=False)
-    m = int(np.sum(sv > tol))
-    if m == n:
-        rows = list(range(n))
+    identity = tuple(range(n))
+    try:
+        minv = np.linalg.inv(uplus)
+    except np.linalg.LinAlgError:
+        minv = None
+    bound = np.inf if minv is None else np.linalg.norm(minv)
+    if tol >= n * np.finfo(float).eps and tol * bound <= 1e-3:
+        t, perm = None, identity
+        r = 2.0 * minv - eye
+        if np.linalg.norm((r + r.conj().T) / 2) <= tol * bound ** 2 / 2:
+            return _unitary_param(n, t, r, perm)
+        sigma_min = np.linalg.svd(uplus, compute_uv=False)[-1]
     else:
-        basis = np.linalg.svd(uplus)[0][:, :m]
-        rows = _pivot_rows(basis @ basis.conj().T, m)
-    mblock, t, perm = _split(uplus, rows, m)
-    sigma_min = sv[-1] if m == n else np.linalg.svd(mblock, compute_uv=False)[-1]
-    minv = np.linalg.inv(mblock)
-    r = 2.0 * minv - np.eye(m) - t @ t.conj().T
-    herm_resid = (r + r.conj().T) / 2
-    if np.linalg.norm(herm_resid) > tol * n / sigma_min ** 2:
+        left, sv, _ = np.linalg.svd(uplus)
+        m = int(np.sum(sv > tol))
+        if m == n:
+            t, perm, sigma_min = None, identity, sv[-1]
+            r = 2.0 * (np.linalg.inv(uplus) if minv is None else minv) - eye
+        else:
+            basis = left[:, :m]
+            mblock, t, perm = _split(uplus, _pivot_rows(basis @ basis.conj().T, m), m)
+            sigma_min = np.linalg.svd(mblock, compute_uv=False)[-1]
+            r = 2.0 * np.linalg.inv(mblock) - np.eye(m) - t @ t.conj().T
+    if np.linalg.norm((r + r.conj().T) / 2) > tol * n / sigma_min ** 2:
         raise ValueError("inconsistent decomposition: S_h is not Hermitian")
+    return _unitary_param(n, t, r, perm)
+
+
+def _unitary_param(n: int, t: Optional[np.ndarray], r: np.ndarray, perm) -> UnitaryParam:
+    """The parameters with S_h the anti-Hermitian part of R, divided by i."""
     s_h = (r - r.conj().T) / 2j
     s_h = (s_h + s_h.conj().T) / 2
-    return UnitaryParam(n=n, m=m, t=None if m == n else t, s_h=s_h, perm=perm)
+    return UnitaryParam(n=n, m=r.shape[0], t=t, s_h=s_h, perm=perm)
 
 
 def build_quadratic_solution(spec: QuadraticSpec, param: HermitianUnitaryParam) -> np.ndarray:

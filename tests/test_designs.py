@@ -1,8 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from mpsmat import designs
+from mpsmat.core import as_square_matrix
 from mpsmat.designs import (
     BadOrderError,
     DesignInvalidError,
@@ -160,6 +163,103 @@ class TestVerifyUnimodular:
     def test_kinds(self, matrix, hadamard, conference):
         assert verify_hadamard(matrix) is hadamard
         assert verify_conference(matrix) is conference
+
+
+def _reference_as_int_matrix(matrix):
+    """_as_int_matrix as it was, with every dtype on the rounding path."""
+    a = as_square_matrix(matrix)
+    if np.iscomplexobj(a):
+        raise TypeError("expected a real integer matrix")
+    b = np.asarray(np.rint(a), dtype=np.int64)
+    if np.max(np.abs(np.asarray(a, dtype=float) - b)) != 0:
+        raise TypeError("expected a matrix with exact integer entries")
+    return b
+
+
+def _int_outcome(convert, matrix, action):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        try:
+            b = convert(matrix)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return b.dtype, b.tolist()
+
+
+_PALEY_ORDERS = [q + 1 for q in range(5, 198, 4) if all(q % f for f in range(2, q))]
+
+
+def _one_entry_changed(a):
+    """Copies of a with one entry negated, zeroed or doubled."""
+    n = a.shape[0]
+    i, j = n // 3, (2 * n) // 3
+    copies = []
+    for value in (-a[i, j], 0, 2 * a[i, j]):
+        b = a.copy()
+        b[i, j] = value
+        copies.append(b)
+    return copies
+
+
+class TestAsIntMatrix:
+    """Integer dtypes skip the rounding pass; every other input keeps the
+    outcome of the rounding path, the warnings it gives included."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.bool_])
+    def test_integer_dtypes_as_the_rounding_path(self, dtype, rng):
+        info = np.iinfo(dtype) if dtype is not np.bool_ else np.iinfo(np.uint8)
+        lo, hi = max(int(info.min), -2**53), min(int(info.max), 2**53)
+        for n in (1, 2, 7, 30):
+            values = rng.integers(lo, hi, size=(n, n), endpoint=True)
+            a = values.astype(dtype)
+            want = _reference_as_int_matrix(a)
+            got = designs._as_int_matrix(a)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert not np.shares_memory(got, a)
+
+    def test_extreme_values_of_each_width(self):
+        for dtype in (np.int8, np.int16, np.int32, np.uint8):
+            info = np.iinfo(dtype)
+            a = np.array([[info.min, info.max], [0, 1]], dtype=dtype)
+            assert np.array_equal(designs._as_int_matrix(a), _reference_as_int_matrix(a))
+
+    def test_int64_past_float_precision_kept_exactly(self):
+        # The rounding path passed these through float64 and lost the low bit.
+        a = np.array([[2**62 + 1, -(2**53) - 1], [0, 1]], dtype=np.int64)
+        assert designs._as_int_matrix(a).tolist() == a.tolist()
+
+    @pytest.mark.parametrize("matrix", [
+        np.full((2, 2), 2**63 + 5, dtype=np.uint64),
+        np.full((2, 2), 2**63 - 1, dtype=np.uint64),
+        np.array([[1, 2], [3, 4]], dtype=np.uint64),
+        np.array([[1.5, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, -2.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, 1.0 + 1e-12]]),
+        np.array([[1 + 0j, 0], [0, 1]]),
+        np.array([[1 + 1j, 0], [0, 1]]),
+        np.array([[1, 0], [0, 1]], dtype=np.float32),
+    ], ids=["uint64-past-int64", "uint64-int64-max", "uint64-small", "half",
+            "integral-float", "near-integer", "complex-integral", "complex", "float32"])
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_other_inputs_keep_their_outcome(self, matrix, action):
+        assert (_int_outcome(designs._as_int_matrix, matrix, action)
+                == _int_outcome(_reference_as_int_matrix, matrix, action))
+
+    @pytest.mark.parametrize("matrix", [
+        *(sylvester_hadamard(2**t) for t in range(7)),
+        *(paley_conference(order) for order in _PALEY_ORDERS),
+    ], ids=[*(f"sylvester-{2**t}" for t in range(7)),
+            *(f"paley-{order}" for order in _PALEY_ORDERS)])
+    def test_verifiers_give_the_same_booleans(self, matrix, monkeypatch):
+        inputs = [matrix, *_one_entry_changed(matrix)]
+        inputs += [x.astype(dtype) for x in inputs for dtype in (np.int8, np.float64)]
+        got = [(verify_hadamard(x), verify_conference(x)) for x in inputs]
+        monkeypatch.setattr(designs, "_as_int_matrix", _reference_as_int_matrix)
+        want = [(verify_hadamard(x), verify_conference(x)) for x in inputs]
+        assert got == want
+        assert any(got[0])
+        if len(matrix) > 1:
+            assert got[1:4] == [(False, False)] * 3
 
 
 class TestNormalize:

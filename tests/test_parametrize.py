@@ -82,15 +82,16 @@ def _reference_decompose_unitary(matrix, tol=DEFAULT_TOL):
     return UnitaryParam(n=n, m=m, t=None if m == n else t, s_h=s_h, perm=perm)
 
 
-def _outcome(decompose, u):
+def _outcome(decompose, u, tol=DEFAULT_TOL):
     try:
-        return decompose(u)
+        return decompose(u, tol)
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def _assert_matches_reference(u):
-    got, want = _outcome(decompose_unitary, u), _outcome(_reference_decompose_unitary, u)
+def _assert_matches_reference(u, tol=DEFAULT_TOL):
+    got = _outcome(decompose_unitary, u, tol)
+    want = _outcome(_reference_decompose_unitary, u, tol)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -98,6 +99,28 @@ def _assert_matches_reference(u):
     assert (got.t is None) == (want.t is None)
     assert want.t is None or np.array_equal(got.t, want.t)
     assert np.array_equal(got.s_h, want.s_h)
+
+
+def _reference_pivot_rows(gram, m):
+    """_pivot_rows as it was before its per-step overhead was cut: the oracle
+    of its row choice."""
+    n = gram.shape[0]
+    factor = np.zeros((n, m), dtype=complex)
+    diag = gram.diagonal().real.copy()
+    slack = n * np.finfo(float).eps * diag.max()
+    rows = []
+    for k in range(m):
+        j = int(np.argmax(diag >= diag.max() - slack))
+        rows.append(j)
+        col = (gram[:, j] - factor[:, :k] @ factor[j, :k].conj()) / np.sqrt(diag[j])
+        factor[:, k] = col
+        diag -= col.real ** 2 + col.imag ** 2
+        diag[j] = -np.inf
+    return rows + [i for i in range(n) if i not in rows]
+
+
+def _assert_pivots_match_reference(gram, m):
+    assert _pivot_rows(gram, m) == _reference_pivot_rows(gram, m)
 
 
 def _random_param(n, rng, scale=1.0):
@@ -374,6 +397,94 @@ class TestDecomposeUnitaryOracle:
     @pytest.mark.parametrize("matrix", [-np.eye(4), 2 * np.eye(3), np.ones((2, 2))])
     def test_same_refusal(self, matrix):
         _assert_matches_reference(matrix)
+
+
+class TestDecomposeUnitaryFastPath:
+    """The m = n path without an SVD, taken when tol ||(U + I)^{-1}||_F <= 1e-3
+    and the Hermitian residual is below tol ||(U + I)^{-1}||_F^2 / 2, against
+    the full-SVD reference on inputs on both sides of those bounds."""
+
+    DELTAS = [1e-7, 1e-6, 1e-5, 1e-4]
+    TOLS = [1e-12, 1e-9, 1e-6, 1e-3, 0.5]
+
+    @pytest.mark.parametrize("tol", TOLS)
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n, draws", [(30, 4), (100, 2)])
+    def test_near_minus_one_at_each_tol(self, n, draws, delta, tol, rng):
+        for _ in range(draws):
+            _assert_matches_reference(_near_minus_one(n, delta, 0, rng), tol)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_deltas_straddle_the_inverse_bound(self, n, rng):
+        # At the default tol the smallest delta fails the bound and the
+        # largest passes it, so the test above runs both paths.
+        scaled = [DEFAULT_TOL * np.linalg.norm(np.linalg.inv(
+            _near_minus_one(n, delta, 0, rng) + np.eye(n))) for delta in self.DELTAS]
+        assert scaled[0] > 1e-3 >= scaled[-1]
+
+    def test_no_svd_for_a_haar_unitary(self, monkeypatch, rng):
+        inputs = [random_unitary(100, rng) for _ in range(5)]
+        wants = [_reference_decompose_unitary(u) for u in inputs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_unitary ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for u, want in zip(inputs, wants):
+            got = decompose_unitary(u)
+            assert (got.m, got.t, got.perm) == (100, None, want.perm)
+            assert np.array_equal(got.s_h, want.s_h)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_residual_bound_failed_near_the_unitarity_limit(self, n, monkeypatch, rng):
+        # (1 + eps) W with eps near the is_unitary limit passes the inverse
+        # bound and fails the residual one: m = n stands, and one values-only
+        # SVD gives sigma_min for the exact check.
+        eps = 0.99 * DEFAULT_TOL * np.sqrt(n) / 2
+        inputs = [(1 + eps) * random_unitary(n, rng) for _ in range(5)]
+        for u in inputs:
+            _assert_matches_reference(u)
+        calls = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        for u in inputs:
+            decompose_unitary(u)
+        assert calls == [False] * len(inputs)
+
+
+class TestPivotRowsOracle:
+    """_pivot_rows picks the rows of the reference, step for step."""
+
+    @pytest.mark.parametrize("n, draws", [(10, 80), (30, 80), (100, 50)])
+    def test_spectral_hermitian_unitaries(self, n, draws, rng):
+        for _ in range(draws):
+            m = int(rng.integers(1, n))
+            _assert_pivots_match_reference(random_hermitian_unitary(n, m, rng) + np.eye(n), m)
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_tie_matrices(self, n):
+        s = complex_core_matrix(n)
+        m = int(round((n + np.trace(s).real) / 2))
+        _assert_pivots_match_reference(s + np.eye(n), m)
+
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    def test_ill_leading_block(self, n, rng):
+        m = n // 2
+        for _ in range(5):
+            _assert_pivots_match_reference(_ill_leading_block(n, m, rng) + np.eye(n), m)
+
+    @pytest.mark.parametrize("n, k", [(11, 4), (30, 15), (100, 30)])
+    def test_projectors_of_unitaries_with_eigenvalue_minus_one(self, n, k, rng):
+        # The Gram matrices decompose_unitary pivots on when m < n.
+        for _ in range(4):
+            u = _minus_one_unitary(n, k, rng)
+            basis = np.linalg.svd(u + np.eye(n))[0][:, :n - k]
+            _assert_pivots_match_reference(basis @ basis.conj().T, n - k)
 
 
 class TestDecomposeUnitaryCheckTightness:
