@@ -60,7 +60,8 @@ class DesignInvalidError(ValueError):
 def _as_int_matrix(matrix) -> np.ndarray:
     """``matrix`` as a new square int64 array; TypeError unless every entry
     is a real integer.  An array of an integer dtype that int64 holds is
-    copied after the dtype test, with no rounding pass."""
+    copied after the dtype test, with no rounding pass, as in
+    ``exact._as_int64`` (which this module cannot import: exact imports it)."""
     a = as_square_matrix(matrix)
     if np.can_cast(a.dtype, np.int64):
         return a.astype(np.int64)

@@ -283,12 +283,14 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
       implies the check above, since ||M^{-1}||_2^2 >= ||M^{-1}||_F^2 / n;
       the factor 1/2 covers the rounding of both norms.
 
-    When only the second bound fails, m = n stands and a values-only SVD of
-    U + I gives sigma_min(M) for the exact check.  Every other case (the
-    first bound fails, the inverse raises LinAlgError, or its norm is NaN or
-    infinite) takes the exact path.  One full SVD of U + I gives m and, when
-    U has the eigenvalue -1 (m < n), its m leading left singular vectors: P
-    puts first the m rows that greedy diagonal-pivoted Cholesky picks on the
+    Every other case (a failed bound, a LinAlgError from the inverse, or a
+    NaN or infinite norm) takes the exact path, where the same norm chooses
+    the SVD of U + I.  When tol * ||M^{-1}||_F < 1, sigma_min(M) > tol, so
+    m = n but for rounding: a values-only SVD gives m and sigma_min(M), and
+    M^{-1} is reused.  Otherwise one full SVD gives m and, when U has the
+    eigenvalue -1 (m < n), its m leading left singular vectors (should the
+    values-only SVD count m < n after all, a full SVD follows it): P puts
+    first the m rows that greedy diagonal-pivoted Cholesky picks on the
     projector onto them, then the others in ascending order (pivoting on
     (U + I)(U + I)* instead would square a singular value of 1e-8 below
     rounding), and sigma_min(M) comes from a values-only SVD of the m x m
@@ -302,29 +304,29 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     if np.max(np.abs(u + eye)) <= tol:
         raise TrivialMatrixError("matrix is -I; the parametrization excludes it")
     uplus = u + eye
-    identity = tuple(range(n))
     try:
         minv = np.linalg.inv(uplus)
     except np.linalg.LinAlgError:
         minv = None
     bound = np.inf if minv is None else np.linalg.norm(minv)
     if tol >= n * np.finfo(float).eps and tol * bound <= 1e-3:
-        t, perm = None, identity
         r = 2.0 * minv - eye
         if np.linalg.norm((r + r.conj().T) / 2) <= tol * bound ** 2 / 2:
-            return _unitary_param(n, t, r, perm)
-        sigma_min = np.linalg.svd(uplus, compute_uv=False)[-1]
+            return _unitary_param(n, None, r, tuple(range(n)))
+    left = None
+    if tol * bound < 1:
+        sv = np.linalg.svd(uplus, compute_uv=False)
     else:
         left, sv, _ = np.linalg.svd(uplus)
-        m = int(np.sum(sv > tol))
-        if m == n:
-            t, perm, sigma_min = None, identity, sv[-1]
-            r = 2.0 * (np.linalg.inv(uplus) if minv is None else minv) - eye
-        else:
-            basis = left[:, :m]
-            mblock, t, perm = _split(uplus, _pivot_rows(basis @ basis.conj().T, m), m)
-            sigma_min = np.linalg.svd(mblock, compute_uv=False)[-1]
-            r = 2.0 * np.linalg.inv(mblock) - np.eye(m) - t @ t.conj().T
+    m = int(np.sum(sv > tol))
+    if m == n:
+        t, perm, sigma_min = None, tuple(range(n)), sv[-1]
+        r = 2.0 * (np.linalg.inv(uplus) if minv is None else minv) - eye
+    else:
+        basis = (np.linalg.svd(uplus)[0] if left is None else left)[:, :m]
+        mblock, t, perm = _split(uplus, _pivot_rows(basis @ basis.conj().T, m), m)
+        sigma_min = np.linalg.svd(mblock, compute_uv=False)[-1]
+        r = 2.0 * np.linalg.inv(mblock) - np.eye(m) - t @ t.conj().T
     if np.linalg.norm((r + r.conj().T) / 2) > tol * n / sigma_min ** 2:
         raise ValueError("inconsistent decomposition: S_h is not Hermitian")
     return _unitary_param(n, t, r, perm)
