@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, as_square_matrix
+from .core import DEFAULT_TOL, as_square_matrix, is_hermitian
 
 __all__ = [
     "BadOrderError",
@@ -283,7 +283,7 @@ def normalize_to_standard(matrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray,
     is_conference = bool(np.any(np.abs(a) <= tol))
     if is_conference:
         a = _zeros_to_diagonal(a, tol)
-        if np.max(np.abs(a - a.conj().T)) <= tol:
+        if is_hermitian(a, tol):
             # D C D* with D_j = C_0j (D_0 = 1) makes row and column 0 all ones
             # at once while preserving hermiticity.
             ref = a[0].copy()

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import designs, exact
-from .core import DEFAULT_TOL, as_square_matrix
+from .core import DEFAULT_TOL, as_square_matrix, is_hermitian
 from .designs import (
     SymmetricDesign,
     fourier_complex_hadamard,
@@ -192,7 +192,7 @@ def conference_block_family(n: int, d: float, conference) -> np.ndarray:
     c = as_square_matrix(conference).astype(complex)
     if c.shape[0] != n // 2:
         raise NotConferenceError(f"need order {n // 2}, got {c.shape[0]}")
-    if np.max(np.abs(c - c.conj().T)) > DEFAULT_TOL:
+    if not is_hermitian(c):
         raise NotConferenceError("auxiliary conference matrix must be Hermitian")
     if not verify_conference(np.asarray(conference)):
         raise NotConferenceError("auxiliary matrix is not a conference matrix")

@@ -219,7 +219,8 @@ def decompose_hermitian_unitary(
 ) -> HermitianUnitaryParam:
     """Recover (m, T, P) from a Hermitian unitary matrix different from +-I.
 
-    m comes from the trace (the spectrum is {-1, +1}).  P puts first the m
+    m comes from the trace (the spectrum is {-1, +1}), and m = 0 or m = n
+    means -I or +I, which raises TrivialMatrixError.  P puts first the m
     rows that greedy diagonal-pivoted Cholesky picks on S + I, then the
     others in ascending order.  Since (S + I)^2 = 2(S + I), these are the
     rows it picks on the Gram matrix of the rows of S + I, so the solved
@@ -231,11 +232,10 @@ def decompose_hermitian_unitary(
     n = s.shape[0]
     if not (is_hermitian(s, tol) and is_unitary(s, tol)):
         raise ValueError("matrix is not Hermitian unitary within tolerance")
-    eye = np.eye(n)
-    if np.max(np.abs(s - eye)) <= tol or np.max(np.abs(s + eye)) <= tol:
-        raise TrivialMatrixError("matrix is +-I; the parametrization excludes it")
     m = int(round((n + np.trace(s).real) / 2))
-    splus = s + eye
+    if not 0 < m < n:
+        raise TrivialMatrixError("matrix is +-I; the parametrization excludes it")
+    splus = s + np.eye(n)
     _, t, perm = _split(splus, _pivot_rows(splus, m), m)
     return HermitianUnitaryParam(n=n, m=m, t=t, perm=perm)
 
@@ -284,17 +284,17 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
       the factor 1/2 covers the rounding of both norms.
 
     Every other case (a failed bound, a LinAlgError from the inverse, or a
-    NaN or infinite norm) takes the exact path, where the same norm chooses
-    the SVD of U + I.  When tol * ||M^{-1}||_F < 1, sigma_min(M) > tol, so
-    m = n but for rounding: a values-only SVD gives m and sigma_min(M), and
-    M^{-1} is reused.  Otherwise one full SVD gives m and, when U has the
-    eigenvalue -1 (m < n), its m leading left singular vectors (should the
-    values-only SVD count m < n after all, a full SVD follows it): P puts
-    first the m rows that greedy diagonal-pivoted Cholesky picks on the
-    projector onto them, then the others in ascending order (pivoting on
-    (U + I)(U + I)* instead would square a singular value of 1e-8 below
-    rounding), and sigma_min(M) comes from a values-only SVD of the m x m
-    block.  Every path gives the same parameters bit for bit.
+    NaN or infinite norm) takes one full SVD of U + I.  Its values fix m.
+    When m = n, P = I, sigma_min(M) is the last value and M^{-1} is reused.
+    When U has the eigenvalue -1 (m < n), its m leading left singular vectors
+    fix P: P puts first the m rows that greedy diagonal-pivoted Cholesky
+    picks on the projector onto them, then the others in ascending order
+    (pivoting on (U + I)(U + I)* instead would square a singular value of
+    1e-8 below rounding), and sigma_min(M) comes from a values-only SVD of
+    the m x m block.  The count needs the full SVD's values: a values-only
+    SVD of U + I differs from them in the last bits, so with tol at
+    sigma_min it can count another m.  Either way the parameters are the
+    ones this full SVD fixes, bit for bit.
     """
     u = as_square_matrix(matrix).astype(complex)
     n = u.shape[0]
@@ -313,17 +313,13 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
         r = 2.0 * minv - eye
         if np.linalg.norm((r + r.conj().T) / 2) <= tol * bound ** 2 / 2:
             return _unitary_param(n, None, r, tuple(range(n)))
-    left = None
-    if tol * bound < 1:
-        sv = np.linalg.svd(uplus, compute_uv=False)
-    else:
-        left, sv, _ = np.linalg.svd(uplus)
+    left, sv, _ = np.linalg.svd(uplus)
     m = int(np.sum(sv > tol))
     if m == n:
         t, perm, sigma_min = None, tuple(range(n)), sv[-1]
         r = 2.0 * (np.linalg.inv(uplus) if minv is None else minv) - eye
     else:
-        basis = (np.linalg.svd(uplus)[0] if left is None else left)[:, :m]
+        basis = left[:, :m]
         mblock, t, perm = _split(uplus, _pivot_rows(basis @ basis.conj().T, m), m)
         sigma_min = np.linalg.svd(mblock, compute_uv=False)[-1]
         r = 2.0 * np.linalg.inv(mblock) - np.eye(m) - t @ t.conj().T

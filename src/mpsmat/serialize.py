@@ -102,8 +102,7 @@ def matrix_to_obj(matrix: MatrixLike) -> dict:
     """
     denominator, a = _values(matrix)
     if denominator is None:
-        entries = [[[float(x.real), float(x.imag)] for x in row] for row in a]
-        return {"n": len(a), "kind": "complex", "entries": entries}
+        return {"n": len(a), "kind": "complex", "entries": _complex_rows_to_obj(a)}
     obj = {"n": len(a), "kind": "real-exact"}
     if denominator == 2:
         obj["d"] = _frac_str(matrix.d)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian_unitary, random_unitary
-from mpsmat.core import DEFAULT_TOL, is_hermitian, is_unitary
+from mpsmat.core import DEFAULT_TOL, as_square_matrix, is_hermitian, is_unitary
 from mpsmat.exact import full_j_mps
 from mpsmat.families import complex_core_matrix
 from mpsmat.parametrize import (
@@ -82,6 +82,22 @@ def _reference_decompose_unitary(matrix, tol=DEFAULT_TOL):
     return UnitaryParam(n=n, m=m, t=None if m == n else t, s_h=s_h, perm=perm)
 
 
+def _reference_decompose_hermitian_unitary(matrix, tol=DEFAULT_TOL):
+    """decompose_hermitian_unitary as it was when it refused +-I by two
+    entrywise passes over S -+ I: the oracle of its parameters."""
+    s = as_square_matrix(matrix).astype(complex)
+    n = s.shape[0]
+    if not (is_hermitian(s, tol) and is_unitary(s, tol)):
+        raise ValueError("matrix is not Hermitian unitary within tolerance")
+    eye = np.eye(n)
+    if np.max(np.abs(s - eye)) <= tol or np.max(np.abs(s + eye)) <= tol:
+        raise TrivialMatrixError("matrix is +-I; the parametrization excludes it")
+    m = int(round((n + np.trace(s).real) / 2))
+    splus = s + eye
+    _, t, perm = _split(splus, _pivot_rows(splus, m), m)
+    return HermitianUnitaryParam(n=n, m=m, t=t, perm=perm)
+
+
 def _outcome(decompose, u, tol=DEFAULT_TOL):
     try:
         return decompose(u, tol)
@@ -89,16 +105,25 @@ def _outcome(decompose, u, tol=DEFAULT_TOL):
         return type(exc), str(exc)
 
 
-def _assert_matches_reference(u, tol=DEFAULT_TOL):
-    got = _outcome(decompose_unitary, u, tol)
-    want = _outcome(_reference_decompose_unitary, u, tol)
+def _assert_same_outcome(got, want):
     if isinstance(want, tuple):
         assert got == want
         return
     assert (got.n, got.m, got.perm) == (want.n, want.m, want.perm)
     assert (got.t is None) == (want.t is None)
     assert want.t is None or np.array_equal(got.t, want.t)
-    assert np.array_equal(got.s_h, want.s_h)
+    if isinstance(want, UnitaryParam):
+        assert np.array_equal(got.s_h, want.s_h)
+
+
+def _assert_matches_reference(u, tol=DEFAULT_TOL):
+    _assert_same_outcome(_outcome(decompose_unitary, u, tol),
+                         _outcome(_reference_decompose_unitary, u, tol))
+
+
+def _assert_hermitian_matches_reference(s, tol=DEFAULT_TOL):
+    _assert_same_outcome(_outcome(decompose_hermitian_unitary, s, tol),
+                         _outcome(_reference_decompose_hermitian_unitary, s, tol))
 
 
 def _reference_pivot_rows(gram, m):
@@ -176,6 +201,19 @@ class TestDecomposeHermitianUnitary:
         with pytest.raises(TrivialMatrixError):
             decompose_hermitian_unitary(-np.eye(4))
 
+    def test_near_identity_refused_by_its_trace(self):
+        # Entrywise 4e-9 from I, yet Hermitian unitary within the default
+        # tol: the trace gives m = n.
+        with pytest.raises(TrivialMatrixError, match=r"matrix is \+-I"):
+            decompose_hermitian_unitary((1 + 4e-9) * np.eye(100))
+
+    def test_wide_tol_keeps_a_matrix_within_tol_of_identity(self):
+        # I - (2/6)J is within 1/3 of I entrywise, but it has m = 5.
+        s = np.eye(6) - np.ones((6, 6)) / 3
+        param = decompose_hermitian_unitary(s, tol=0.5)
+        assert param.m == 5
+        assert np.linalg.norm(build_hermitian_unitary(param) - s) < 1e-12
+
     def test_round_trip_on_built_matrices(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 11))
@@ -237,6 +275,36 @@ class TestDecomposeHermitianUnitary:
             diag = np.diagonal(schur).real
             assert order[k] == rest[int(np.argmax(diag >= diag.max() - 1e-12))]
         assert order[param.m:] == sorted(order[param.m:])
+
+
+class TestDecomposeHermitianUnitaryOracle:
+    """(m, T, P) bit for bit, or the same exception, as the decomposer that
+    refused +-I entrywise, on the Hermitian inputs of the tests above."""
+
+    def test_built_and_spectral(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 11))
+            _assert_hermitian_matches_reference(build_hermitian_unitary(_random_param(n, rng)))
+            _assert_hermitian_matches_reference(
+                random_hermitian_unitary(n, int(rng.integers(1, n)), rng))
+
+    @pytest.mark.parametrize("n", [10, 30, 100])
+    def test_ill_leading_block(self, n, rng):
+        for _ in range(5):
+            _assert_hermitian_matches_reference(_ill_leading_block(n, n // 2, rng))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10])
+    def test_tie_matrices(self, n):
+        _assert_hermitian_matches_reference(full_j_mps(n).matrix())
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_complex_core_matrices(self, n):
+        _assert_hermitian_matches_reference(complex_core_matrix(n))
+
+    @pytest.mark.parametrize("matrix", [np.eye(4), -np.eye(4), np.diag([1.0, -1.0, -1.0]),
+                                        np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2))])
+    def test_small_and_refused(self, matrix):
+        _assert_hermitian_matches_reference(matrix)
 
 
 class TestEigenbasis:
@@ -442,6 +510,39 @@ class TestDecomposeUnitaryFastPath:
         eps = 0.99 * DEFAULT_TOL * np.sqrt(n) / 2
         for _ in range(5):
             _assert_matches_reference((1 + eps) * random_unitary(n, rng))
+
+
+class TestDecomposeUnitaryTolEdge:
+    """tol at sigma_min(U + I), where a values-only SVD and a full SVD of
+    U + I, which differ in the last bits, can count different m: every input
+    that misses the no-SVD return takes exactly one SVD of U + I, a full one,
+    and matches the full-SVD reference bit for bit.  tol four orders below
+    sigma_min takes the no-SVD return."""
+
+    def test_tol_at_the_smallest_singular_value(self, monkeypatch, rng):
+        n = 30
+        cases = []
+        for delta in [1e-7, 1e-6]:
+            for _ in range(40):
+                u = _near_minus_one(n, delta, 0, rng)
+                values = np.linalg.svd(u + np.eye(n), compute_uv=False)[-1]
+                full = np.linalg.svd(u + np.eye(n))[1][-1]
+                cases += [(u, values, True), (u, full, True), (u, 1e-4 * full, False)]
+        wants = [_outcome(_reference_decompose_unitary, u, tol) for u, tol, _ in cases]
+
+        real_svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for (u, tol, exact_path), want in zip(cases, wants):
+            calls.clear()
+            _assert_same_outcome(_outcome(decompose_unitary, u, tol), want)
+            assert [uv for shape, uv in calls if shape == (n, n)] == ([True] if exact_path else [])
+        assert sum(exact_path for *_, exact_path in cases) >= 100
 
 
 class TestPivotRowsOracle:
