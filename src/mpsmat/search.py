@@ -20,7 +20,11 @@ members, so it checks the representatives as the DFS yields them and counts
 ``up_to_equivalence`` mode restricts the enumeration to standard-form
 matrices (sorted diagonal with p >= n/2, pinned first rows of both diagonal
 blocks) -- every equivalence class contains such a representative -- and then
-collapses the hits to canonical forms.
+collapses the hits to canonical forms.  Inside each diagonal block it keeps
+only row orderings whose adjacent rows ascend in their sign words off the
+pair's own two columns, a lex constraint that every class's least standard
+form meets (_Search.leaves proves it); so one class yields a few hits, not
+up to 2 p! (n-p)! of them.
 
 The canonical form is the lexicographically minimal matrix over the full
 equivalence group (simultaneous permutations x paired sign flips x global
@@ -251,9 +255,11 @@ def _radii(n: int, two_d: int, r: int, diag: np.ndarray) -> np.ndarray:
     return ((h + _PAD) << low).astype(np.int16).reshape(r << (r + 1), len(diag))
 
 
-def _row_plans(n: int, two_d: int, mode: str) -> list[list[_Row]]:
-    """The rows of every explored diagonal layout, in output order.  Equal
-    rows of different layouts are one object, so they share their radii."""
+def _row_plans(n: int, two_d: int, mode: str) -> list[list[tuple[_Row, bool]]]:
+    """The rows of every explored diagonal layout, in output order, each with
+    whether the standard form's lex constraint (see _Search.leaves) binds it
+    to the row before.  Equal rows of different layouts are one object, so
+    they share their radii."""
     made: dict[tuple, _Row] = {}
 
     def row(r: int, diag: tuple[int, ...], pin_mask: int = 0, pin_value: int = 0) -> _Row:
@@ -265,7 +271,7 @@ def _row_plans(n: int, two_d: int, mode: str) -> list[list[_Row]]:
 
     if mode == "all":
         # Row 0's tail is pinned to +: one representative per sign-flip orbit.
-        return [[row(r, (0,) if two_d == 0 else (0, 1), 0 if r else (1 << (n - 1)) - 1)
+        return [[(row(r, (0,) if two_d == 0 else (0, 1), 0 if r else (1 << (n - 1)) - 1), False)
                  for r in range(n)]]
     plans = []
     # d = 0 has no diagonal signs to split by: one layout, p = n (to_standard_form's).
@@ -275,12 +281,14 @@ def _row_plans(n: int, two_d: int, mode: str) -> list[list[_Row]]:
             if r == 0:
                 # Standard form pins the entries (0, 1..p-1) to -1 ...
                 pin = ((1 << (p - 1)) - 1) << (n - p)
-                rows.append(row(r, (0,), pin, pin))
+                rows.append((row(r, (0,), pin, pin), False))
             elif r == p:
                 # ... and the entries (p, p+1..n-1) to +1.
-                rows.append(row(r, (1,), (1 << (n - 1 - r)) - 1, 0))
+                rows.append((row(r, (1,), (1 << (n - 1 - r)) - 1, 0), False))
             else:
-                rows.append(row(r, (0 if r < p else 1,)))
+                # Row r is bound to row r-1 unless that is row 0 or p, a pinned
+                # first row of a block.
+                rows.append((row(r, (0 if r < p else 1,)), r >= 2 and r != p + 1))
         plans.append(rows)
     return plans
 
@@ -356,7 +364,30 @@ class _Search:
         blocks, (n, hits) ascending within each plan, in the narrowest unsigned
         type of n bits, since a full listing holds them all.  It stops when the
         deadline passes, the standard form's ``max_results`` hits are taken or
-        the stack is empty; _orbits and count_search cut the all-mode hits."""
+        the stack is empty; _orbits and count_search cut the all-mode hits.
+
+        The standard form breaks the symmetry left inside its diagonal blocks
+        by a lex constraint between adjacent rows, after Codish, Miller,
+        Prosser and Stuckey, "Breaking symmetries in graph representation"
+        (IJCAI 2013).  Where rows r-1 and r (r >= 2) lie in one block and row
+        r-1 is neither 0 nor p, a child is kept only if w[r-1] <= w[r] off
+        columns r-1 and r, with w the sign words.  Every class keeps a hit:
+
+        Permuting rows and columns inside {1..p-1} and inside {p+1..n-1}
+        maps standard forms to standard forms, since the diagonal and the
+        pinned entries of rows 0 and p are constant on each block.  Let S be
+        the least member of such an orbit, comparing the words row by row,
+        and suppose S breaks the constraint at rows r-1 and r.  Their first
+        difference off columns r-1 and r is at a column k where S[r-1][k] is
+        - and S[r][k] is +.  Let T be S with r-1 and r swapped, an orbit
+        member.  If k < r-1, rows i < k have S[i][r-1] = S[r-1][i] =
+        S[r][i] = S[i][r], so T's rows before k are S's, and row k of T has
+        + at column r-1 where S has -: T < S.  If k > r, T's rows before r-1
+        are S's for the same reason, and T[r-1] equals S[r-1] on columns r-1
+        and r (the diagonal, and the symmetric entry S[r-1][r] = S[r][r-1])
+        and S[r] off them: T[r-1] < S[r-1], so T < S.  Either way S is not
+        least.  So the least member of each orbit meets every constraint and
+        is a hit, and every class, which holds a standard form, keeps one."""
         if self.two_d is None:
             return
         n, found = self.n, 0
@@ -375,9 +406,13 @@ class _Search:
                 found += block.shape[1]
                 yield block.astype(word)
                 continue
-            step = max(1, _BLOCK // (len(plan[r].diag) << (n - 1 - r)))
-            pieces = [_children(block[:, lo:lo + step], n, plan[r])
+            row, lex = plan[r]
+            step = max(1, _BLOCK // (len(row.diag) << (n - 1 - r)))
+            pieces = [_children(block[:, lo:lo + step], n, row)
                       for lo in range(0, block.shape[1], step)]
+            if lex:
+                off = ((1 << n) - 1) ^ (3 << (n - 1 - r))  # all but columns r-1 and r
+                pieces = [piece[:, (piece[r - 1] & off) <= (piece[r] & off)] for piece in pieces]
             # Pushed last to first, so the blocks pop in ascending order.
             stack.extend((r + 1, plan, child) for child in reversed(pieces) if child.shape[1])
 
@@ -447,9 +482,11 @@ def exhaustive_search(
     """Enumerate the real MPS matrices of order n with ratio d, exactly.
 
     ``mode="all"`` lists every matrix; ``mode="up_to_equivalence"`` explores
-    only standard-form assignments and returns one canonical representative
-    per equivalence class.  Output is sorted in the fixed row-major encoding,
-    so it is deterministic and independent of chunking.  In ``all`` mode
+    only standard-form assignments whose rows ascend inside each diagonal
+    block (the lex constraint of _Search.leaves, which every class meets)
+    and returns one canonical representative per equivalence class.  Output
+    is sorted in the fixed row-major encoding, so it is deterministic and
+    independent of chunking.  In ``all`` mode
     ``max_results``, or a budget that runs out while the orbits are written
     out, leaves the first matrices of the complete output; a budget that runs
     out in the DFS of the orbit representatives leaves the first chunk of the

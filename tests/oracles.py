@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from mpsmat.exact import IntegerMps, encode_matrix
-from mpsmat.search import TooLargeError, _two_d
+from mpsmat.search import _BLOCK, TooLargeError, _children, _decode, _row_plans, _two_d
 
 #: Largest order naive_search enumerates; its 2^(n(n+1)/2) patterns grow fast.
 _NAIVE_MAX_ORDER = 6
@@ -49,3 +49,31 @@ def naive_search(n: int, d) -> list[IntegerMps]:
             hits.append(q.astype(np.int64))
     hits.sort(key=lambda q: encode_matrix(q).tobytes())
     return [IntegerMps(d=d, two_q=q) for q in hits]
+
+
+def standard_form_hits(n: int, d) -> np.ndarray:
+    """Every standard-form matrix of order n with ratio d, as an int8 2Q stack.
+
+    The search's own row plans and expansion kernel (which
+    test_search_kernel holds to an int32 reference), walked depth first with
+    no lex constraint between the rows of a diagonal block: each class
+    comes back in every row ordering its blocks allow.
+    """
+    two_d = _two_d(Fraction(d))
+    if two_d is None:
+        return np.empty((0, n, n), dtype=np.int8)
+    hits = []
+    for plan in _row_plans(n, two_d, "up_to_equivalence"):
+        stack = [(0, np.zeros((0, 1), dtype=np.int64))]
+        while stack:
+            r, block = stack.pop()
+            if r == n:
+                hits.append(block)
+                continue
+            row, _ = plan[r]
+            step = max(1, _BLOCK // (len(row.diag) << (n - 1 - r)))
+            for lo in range(0, block.shape[1], step):
+                child = _children(block[:, lo:lo + step], n, row)
+                if child.shape[1]:
+                    stack.append((r + 1, child))
+    return _decode(hits, n, two_d)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_search
+from oracles import naive_search, standard_form_hits
 from mpsmat import search
-from mpsmat.classify import EXISTS, IMPOSSIBLE_STATUS, necessary_conditions
+from mpsmat.classify import EXISTS, IMPOSSIBLE_STATUS, OPEN, necessary_conditions
 from mpsmat.exact import (
     IntegerMps,
     StructureViolationError,
@@ -750,10 +750,9 @@ def _assert_matches_scan(m):
 
 
 def _standard_form_hits(n, d):
-    """Every raw standard-form hit of the search, before canonicalization."""
-    searcher, pieces = _search(n, d, "up_to_equivalence")
-    assert searcher.stop == "complete"
-    for q in _decode(pieces, n, int(2 * d)):
+    """Every standard-form matrix, in every row ordering of its diagonal
+    blocks (the unpruned oracle), before canonicalization."""
+    for q in standard_form_hits(n, d):
         yield IntegerMps(d=d, two_q=q.astype(np.int64))
 
 
@@ -802,6 +801,54 @@ class TestCanonicalOracle:
         digest = hashlib.sha256(nine.two_q_stack.tobytes() + ten.two_q_stack.tobytes())
         assert digest.hexdigest() == (
             "093b20450c9605db33c3dab301fb3c6ac5e94d18e2b1b062f2282ec7d5e538cc")
+
+
+#: The number of equivalence classes of every nonempty (n, d) with n <= 12.
+CENSUS = {
+    (2, 0): 1, (3, Fraction(1, 2)): 1, (4, 1): 2, (5, Fraction(3, 2)): 1, (6, 0): 1,
+    (6, 2): 2, (7, Fraction(5, 2)): 1, (8, 1): 1, (8, 3): 2, (9, Fraction(7, 2)): 1,
+    (10, 0): 1, (10, 2): 1, (10, 4): 2, (11, Fraction(9, 2)): 1, (12, 1): 1, (12, 3): 1,
+    (12, 5): 2,
+}
+
+
+class TestSymmetryBreaking:
+    """The lex constraint inside the diagonal blocks keeps every class."""
+
+    @pytest.mark.parametrize("n, ratios", [(n, candidate_ratios(n)) for n in range(2, 11)]
+                             + [(12, [3, 5])])
+    def test_classes_match_the_unpruned_search(self, n, ratios):
+        for d in ratios:
+            res = exhaustive_search(n, d, mode="up_to_equivalence")
+            assert res.complete
+            want = {canonical_form(m).encode() for m in _standard_form_hits(n, d)}
+            assert {m.encode() for m in res.matrices()} == want, (n, d)
+
+    def test_census_and_classifier(self):
+        counts = {}
+        for n in range(2, 13):
+            for d in candidate_ratios(n):
+                res = exhaustive_search(n, d, mode="up_to_equivalence")
+                assert res.complete
+                classes = {q.tobytes() for q in res.two_q_stack}
+                verdict = necessary_conditions(n, d)
+                if verdict.status == IMPOSSIBLE_STATUS:
+                    assert not classes, (n, d)
+                if verdict.status == EXISTS:
+                    form = canonical_form(verdict.witness).two_q.astype(np.int8)
+                    assert form.tobytes() in classes, (n, d)
+                if classes:
+                    counts[n, d] = len(classes)
+        assert counts == CENSUS
+        # The classifier leaves (10, 0) open; the search finds its one class.
+        assert necessary_conditions(10, 0).status == OPEN
+
+    @pytest.mark.parametrize("n, d, pruned, unpruned", [
+        (8, 1, 4, 48), (10, 0, 1, 5040), (10, 2, 4, 240), (12, 3, 4, 1440)])
+    def test_hits_per_class(self, n, d, pruned, unpruned):
+        searcher, pieces = _search(n, d, "up_to_equivalence")
+        assert sum(p.shape[1] for p in pieces) == pruned
+        assert len(standard_form_hits(n, d)) == unpruned
 
 
 class TestAreEquivalent:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import standard_form_hits
 from mpsmat import search
 from mpsmat.exact import encode_matrix
 from mpsmat.search import (
@@ -120,15 +121,36 @@ def test_all_mode_is_the_reference_bit_for_bit(n, two_ds):
         assert np.array_equal(got, want), (n, two_d)
 
 
+def _ascends_in_blocks(q):
+    """Whether every pair of adjacent rows r-1, r inside one diagonal block,
+    r-1 not a block's first row (0 or p), has row r-1 <= row r off columns
+    r-1 and r, reading each row as its negative entries in column order.
+    p, the first row of the second block, counts the entries >= 0 on the
+    diagonal."""
+    n = len(q)
+    p = int(np.sum(np.diagonal(q) >= 0))
+    for r in range(2, n):
+        if r not in (p, p + 1):
+            cols = [c for c in range(n) if c not in (r - 1, r)]
+            if list(q[r - 1, cols] < 0) > list(q[r, cols] < 0):
+                return False
+    return True
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_standard_form_hits_are_the_references(n):
+    # The unpruned oracle is the reference's standard-form DFS, and the
+    # search keeps exactly its hits whose rows ascend inside each block.
     for two_d in _two_ds(n):
         searcher = _Search(n, Fraction(two_d, 2), "up_to_equivalence", None, None)
         blocks = list(searcher.leaves())
         assert searcher.stop == "complete"
+        ref = sorted(q.tobytes() for q in _ref_hits(n, two_d, "up_to_equivalence"))
+        unpruned = standard_form_hits(n, Fraction(two_d, 2))
+        assert sorted(q.tobytes() for q in unpruned) == ref, (n, two_d)
         got = sorted(q.tobytes() for q in _decode(blocks, n, two_d))
-        want = sorted(q.tobytes() for q in _ref_hits(n, two_d, "up_to_equivalence"))
-        assert got == want, (n, two_d)
+        want = [q.tobytes() for q in unpruned if _ascends_in_blocks(q)]
+        assert got == sorted(want), (n, two_d)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
