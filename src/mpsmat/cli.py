@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import sys
@@ -164,11 +163,12 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     loaded = _load_matrix(args.file)
     mat = loaded.matrix() if isinstance(loaded, exact.IntegerMps) else np.asarray(loaded)
+    mat = core.as_square_matrix(mat)
     tol = args.tol
     report: dict = {
         "n": int(mat.shape[0]),
-        "hermitian": core.is_hermitian(mat, tol),
-        "unitary": core.is_unitary(mat, tol),
+        "hermitian": core._is_hermitian(mat, tol),
+        "unitary": core._is_unitary(mat, tol),
         "mps": False,
         "d_bound": None,
         "trace_identity": None,
@@ -176,9 +176,9 @@ def _cmd_verify(args) -> int:
     }
     if report["hermitian"] and report["unitary"]:
         try:
-            prof = core.mps_profile(mat, tol)
+            prof = core._profile(mat, tol)
             report["mps"] = True
-            report["profile"] = dataclasses.asdict(prof)
+            report["profile"] = dict(vars(prof))
             # Measured d carries float noise; give the boundary tol slack.
             report["d_bound"] = core.check_d_bound(prof.n, max(0.0, prof.d - tol))
             report["trace_identity"] = core.check_trace_identity(prof, tol)
@@ -338,7 +338,8 @@ def _cmd_scatter(args) -> int:
     if not 1 <= args.edge <= n:
         return _fail(f"--edge must lie in 1..{n}")
     probs = core.scattering_probabilities(mat, args.edge - 1, args.tol)
-    prof = core.mps_profile(mat, args.tol)
+    # scattering_probabilities has found mat Hermitian unitary.
+    prof = core._profile(mat, args.tol)
     obj = {
         "edge": args.edge,
         "probabilities": [float(x) for x in probs],

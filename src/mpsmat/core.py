@@ -72,13 +72,22 @@ def as_square_matrix(matrix) -> np.ndarray:
 
 def is_hermitian(matrix, tol: float = DEFAULT_TOL) -> bool:
     """True iff max_jk |M_jk - conj(M_kj)| <= tol."""
-    a = as_square_matrix(matrix)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return _is_hermitian(as_square_matrix(matrix), tol)
 
 
 def is_unitary(matrix, tol: float = DEFAULT_TOL) -> bool:
     """True iff ||M M* - I||_F <= tol * n."""
-    a = as_square_matrix(matrix)
+    return _is_unitary(as_square_matrix(matrix), tol)
+
+
+# The private checks and measurement take an array that as_square_matrix has
+# passed, so a caller that runs several of them scans the entries once.
+
+def _is_hermitian(a: np.ndarray, tol: float) -> bool:
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+
+
+def _is_unitary(a: np.ndarray, tol: float) -> bool:
     n = a.shape[0]
     resid = a @ a.conj().T - np.eye(n)
     return bool(np.linalg.norm(resid) <= tol * n)
@@ -115,12 +124,17 @@ def mps_profile(matrix, tol: float = DEFAULT_TOL) -> MpsProfile:
     sign; by convention they count as non-negative, so p = n.
     """
     a = as_square_matrix(matrix)
-    n = a.shape[0]
-    if not is_hermitian(a, tol):
+    if not _is_hermitian(a, tol):
         raise NotHermitianUnitaryError("matrix is not Hermitian within tolerance")
-    if not is_unitary(a, tol):
+    if not _is_unitary(a, tol):
         raise NotHermitianUnitaryError("matrix is not unitary within tolerance")
+    return _profile(a, tol)
 
+
+def _profile(a: np.ndarray, tol: float) -> MpsProfile:
+    """The measurement of mps_profile, for an array already found Hermitian
+    unitary within ``tol``."""
+    n = a.shape[0]
     diag = np.diagonal(a)
     if np.iscomplexobj(a) and np.max(np.abs(diag.imag)) > tol:
         raise NotHermitianUnitaryError("diagonal entries are not real")
@@ -131,10 +145,12 @@ def mps_profile(matrix, tol: float = DEFAULT_TOL) -> MpsProfile:
     if np.max(np.abs(diag_mod - r)) > tol:
         raise NotMpsError("diagonal moduli are not constant")
 
-    off_mask = ~np.eye(n, dtype=bool)
     if n == 1:
         raise NotMpsError("order-1 matrix has no off-diagonal entries")
-    off_mod = np.abs(a[off_mask])
+    # The off-diagonal entries in row-major order, with no mask: after entry
+    # 0, the flat matrix is n - 1 runs of n + 1 entries, each ending on the
+    # diagonal.
+    off_mod = np.abs(a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]).ravel()
     t = float(np.mean(off_mod))
     if np.max(np.abs(off_mod - t)) > tol:
         raise NotMpsError("off-diagonal moduli are not constant")
@@ -208,7 +224,7 @@ def scattering_probabilities(matrix, edge: int, tol: float = DEFAULT_TOL) -> np.
     n = a.shape[0]
     if not (0 <= edge < n):
         raise IndexError(f"edge index {edge} outside [0, {n - 1}]")
-    if not (is_hermitian(a, tol) and is_unitary(a, tol)):
+    if not (_is_hermitian(a, tol) and _is_unitary(a, tol)):
         raise NotHermitianUnitaryError("matrix is not Hermitian unitary within tolerance")
     probs = np.abs(a[:, edge]) ** 2
     total = float(probs.sum())

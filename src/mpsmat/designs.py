@@ -73,13 +73,15 @@ def _as_int_matrix(matrix) -> np.ndarray:
     return b
 
 
-def _gram_equals(a: np.ndarray, target: np.ndarray) -> bool:
-    """Whether A A^T equals ``target`` exactly, for an integer matrix or a
-    stack (..., n, m) of them.
+def _gram_equals(a: np.ndarray, diag: int, off: int) -> bool:
+    """Whether A A^T has every diagonal entry equal to ``diag`` and every
+    other entry equal to ``off`` exactly, for an integer matrix or a stack
+    (..., n, m) of them: the Gram target (diag - off) I + off J, compared
+    with the two scalars and never built.
 
     With M = max |a_ij| and m the row length, every product a_ij a_kj and
     every partial sum of a row's products is an integer of modulus at most
-    m M^2.  When m M^2 <= 2^53 and no target entry exceeds 2^53 in modulus,
+    m M^2.  When m M^2 <= 2^53 and neither |diag| nor |off| exceeds 2^53,
     float64 holds all of them exactly, so the float64 BLAS product is
     compared uncast, whatever its summation order, FMA use or thread count.
     (Float64 rounds a target 2^53 + 1 to 2^53, the Gram of [2^26, 2^26].)
@@ -88,12 +90,19 @@ def _gram_equals(a: np.ndarray, target: np.ndarray) -> bool:
     """
     a = np.asarray(a)
     m = max(-int(a.min()), int(a.max())) if a.size else 0
-    t = max(-int(target.min()), int(target.max())) if target.size else 0
-    if a.shape[-1] * m * m <= 1 << 53 and t <= 1 << 53:
+    if a.shape[-1] * m * m <= 1 << 53 and max(abs(diag), abs(off)) <= 1 << 53:
         f = a.astype(np.float64)
-        return bool(np.all(f @ f.swapaxes(-1, -2) == target))
-    a = a.astype(np.int64)
-    return bool(np.all(np.einsum("...ij,...kj->...ik", a, a) == target))
+        gram = f @ f.swapaxes(-1, -2)
+    else:
+        a = a.astype(np.int64)
+        gram = np.einsum("...ij,...kj->...ik", a, a)
+    # A writable view of every diagonal: checked, then set to off, so one
+    # comparison covers the rest.
+    diagonal = np.einsum("...ii->...i", gram)
+    if not (diagonal == diag).all():
+        return False
+    diagonal[...] = off
+    return bool((gram == off).all())
 
 
 def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = False) -> bool:
@@ -112,8 +121,7 @@ def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = 
     lam_min = 0 if allow_degenerate else 1
     if not (v > k > lam >= lam_min):
         return False
-    target = (k - lam) * np.eye(v, dtype=np.int64) + lam * np.ones((v, v), dtype=np.int64)
-    if not _gram_equals(a, target):
+    if not _gram_equals(a, k, lam):
         return False
     return bool(np.all(a.sum(axis=1) == k))
 
@@ -165,17 +173,26 @@ def _verify_unimodular(matrix, tol: float, conference: bool) -> bool:
     Frobenius norm of the Gram residual."""
     a = as_square_matrix(matrix)
     n = a.shape[0]
-    moduli = 1 - conference * np.eye(n, dtype=np.int64)
-    target = (n - conference) * np.eye(n, dtype=np.int64)
     if not np.iscomplexobj(a):
         try:
             b = _as_int_matrix(a)
         except TypeError:
             return False
-        return bool(np.array_equal(np.abs(b), moduli)) and _gram_equals(b, target)
-    if np.max(np.abs(np.abs(a) - moduli)) > tol:
+        # With the diagonal right, n (n - conference) entries of magnitude
+        # 1 means that every off-diagonal entry has it.
+        magnitudes = np.abs(b)
+        return (bool(np.all(np.diagonal(magnitudes) == 1 - conference))
+                and int(np.count_nonzero(magnitudes == 1)) == n * (n - conference)
+                and _gram_equals(b, n - conference, 0))
+    magnitudes = np.abs(a)
+    if np.max(np.abs(np.diagonal(magnitudes) - (1 - conference))) > tol:
         return False
-    return bool(np.linalg.norm(a @ a.conj().T - target) <= tol * n)
+    np.fill_diagonal(magnitudes, 1)
+    if np.max(np.abs(magnitudes - 1)) > tol:
+        return False
+    residual = a @ a.conj().T
+    residual.flat[::n + 1] -= n - conference
+    return bool(np.linalg.norm(residual) <= tol * n)
 
 
 def sylvester_hadamard(order: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from .designs import (
     _gram_equals,
     design_params_for,
     hadamard_to_design,
-    verify_conference,
     verify_hadamard,
 )
 
@@ -187,8 +186,10 @@ def validate(m: IntegerMps) -> None:
     _check_two_q(m.two_q[None], two_d)
 
 
-#: Matrices per chunk of _check_two_q.  At 1,024 (512 kB float64 temporaries at
-#: n = 8) glibc returned and refaulted their pages each chunk: 2.5x slower.
+#: Matrices per chunk of _check_two_q.  Each chunk's temporaries (its
+#: magnitudes and masks, the float64 copy and Gram product) grow with it:
+#: at 1,024 (512 kB float64 temporaries at n = 8) glibc returned and refaulted
+#: their pages each chunk, 2.5x slower.
 _CHECK_CHUNK = 256
 
 
@@ -197,21 +198,19 @@ def _check_two_q(stack: np.ndarray, two_d: int) -> None:
     symmetric, +-2 off the diagonal and +-2d on it, with (2Q)(2Q)^T =
     (4d^2 + 4n - 4) I (in the int64 range, as the caller ensures)."""
     n = stack.shape[-1]
-    target = (two_d * two_d + 4 * (n - 1)) * np.eye(n, dtype=np.int64)
-    # In the stack's dtype, so the comparison makes no wide temporary.  The
-    # search's int8 stacks hold 2d <= 127, so the table fits them.
-    moduli = np.where(np.eye(n, dtype=bool), two_d, 2).astype(stack.dtype)
     for lo in range(0, stack.shape[0], _CHECK_CHUNK):
         chunk = stack[lo:lo + _CHECK_CHUNK]
         if not np.array_equal(chunk, chunk.swapaxes(1, 2)):
             raise StructureViolationError("2Q must be symmetric")
         # np.abs of the most negative integer is itself, which matches no modulus.
-        bad = np.abs(chunk) != moduli
-        if bad.any():
-            if np.diagonal(bad, axis1=1, axis2=2).any():
-                raise StructureViolationError("diagonal entries must be +-2d")
+        magnitudes = np.abs(chunk)
+        if (np.diagonal(magnitudes, axis1=1, axis2=2) != two_d).any():
+            raise StructureViolationError("diagonal entries must be +-2d")
+        # The diagonal is right, so the count of magnitudes 2 is k n (n - 1),
+        # plus the diagonal when 2d = 2.
+        if np.count_nonzero(magnitudes == 2) != len(chunk) * n * (n - (two_d != 2)):
             raise StructureViolationError("off-diagonal entries must be +-2")
-        if not _gram_equals(chunk, target):
+        if not _gram_equals(chunk, two_d * two_d + 4 * (n - 1), 0):
             raise StructureViolationError(
                 "orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails")
 
@@ -421,7 +420,9 @@ class StructureReport:
 
 def _leading_block(p: int, two_d: int) -> np.ndarray:
     """2((d+1)I - J) of order p, the doubled leading block of the block form."""
-    return (two_d + 2) * np.eye(p, dtype=np.int64) - 2 * np.ones((p, p), dtype=np.int64)
+    lead = np.full((p, p), -2, dtype=np.int64)
+    np.fill_diagonal(lead, two_d)
+    return lead
 
 
 def _zero_ratio_split(m: IntegerMps) -> StandardForm:
@@ -489,8 +490,7 @@ def structure_check(m: IntegerMps) -> StructureReport:
     beta = 2 * d + 2 - Fraction(n, 2)
     if alpha.denominator != 1 or beta.denominator != 1:
         raise StructureViolationError("d must be an integer in this range")
-    target = int(alpha) * np.eye(p, dtype=np.int64) + int(beta) * jp
-    gram_ok = bool(np.array_equal(ggt, target))
+    gram_ok = _gram_equals(g, int(alpha + beta), int(beta))
     if not (normal and commutes and gram_ok):
         raise StructureViolationError(
             f"G identities failed: normal={normal}, "
@@ -530,7 +530,7 @@ def extract_design(m: IntegerMps) -> SymmetricDesign:
         raise StructureViolationError("row-sum eigenvalue does not match q")
     if mu > 0:
         g = -g
-    a = (g + np.ones((v, v), dtype=np.int64)) // 2
+    a = (g + 1) // 2
     return SymmetricDesign(v=v, k=params.k, lam=params.lam, incidence=a)
 
 
@@ -568,7 +568,13 @@ def hadamard_to_mps(hadamard) -> IntegerMps:
 
 def _block_scheme(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[[A, B], [B*, -A]]: the block layout shared by every construction family."""
-    return np.block([[a, b], [b.conj().T, -a]])
+    p = a.shape[0]
+    out = np.empty((2 * p, 2 * p), dtype=np.result_type(a, b))
+    out[:p, :p] = a
+    out[:p, p:] = b
+    out[p:, :p] = b.conj().T
+    np.negative(a, out=out[p:, p:])
+    return out
 
 
 def _assemble_block_form(n: int, d: Fraction, g: np.ndarray) -> IntegerMps:
@@ -585,8 +591,7 @@ def full_j_mps(n: int) -> IntegerMps:
     """I - (2/n)J scaled: Q = (n/2)I - J, a member of M_n^R(n/2 - 1), any n >= 2."""
     if n < 2:
         raise ValueError("order must be at least 2")
-    q = n * np.eye(n, dtype=np.int64) - 2 * np.ones((n, n), dtype=np.int64)
-    return IntegerMps(d=Fraction(n, 2) - 1, two_q=q)
+    return IntegerMps(d=Fraction(n, 2) - 1, two_q=_leading_block(n, n - 2))
 
 
 def two_by_two_mps(d) -> IntegerMps:
@@ -608,27 +613,37 @@ def upper_interval_mps(n: int, d) -> IntegerMps:
     if n % 2 or n < 4:
         raise ValueError("n must be even and at least 4")
     d = _as_fraction(d)
-    p = n // 2
-    jp = np.ones((p, p), dtype=np.int64)
-    if d == Fraction(n, 2) - 1:
-        g = jp.copy()
-    elif d == Fraction(n, 2) - 3:
-        g = jp - 2 * np.eye(p, dtype=np.int64)
-    else:
+    if d not in (Fraction(n, 2) - 1, Fraction(n, 2) - 3):
         raise NotInRangeError("exact interval members exist at d = n/2 - 1 and n/2 - 3")
+    g = np.ones((n // 2, n // 2), dtype=np.int64)
+    if d == Fraction(n, 2) - 3:
+        np.fill_diagonal(g, -1)
     return _assemble_block_form(n, d, g)
 
 
-def _symmetric_conference(conference) -> np.ndarray:
+_NOT_CONFERENCE = "input is not a symmetric real conference matrix"
+
+
+def _from_conference(d: Fraction, conference, doubled) -> IntegerMps:
+    """``IntegerMps(d, doubled(C))`` for a symmetric real conference matrix C.
+
+    Its validation is the conference check: for a square C of entries 0 and
+    +-1, 2Q is a valid member exactly when C is a symmetric conference
+    matrix, so a failure is reported as C's.  A wider entry could wrap onto
+    +-2 when doubled, so it is refused first.
+    """
     c = _as_int64(conference)
-    if not np.array_equal(c, c.T) or not verify_conference(c):
-        raise ValueError("input is not a symmetric real conference matrix")
-    return c
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or not c.size or c.min() < -1 or c.max() > 1:
+        raise ValueError(_NOT_CONFERENCE)
+    try:
+        return IntegerMps(d=d, two_q=doubled(c))
+    except StructureViolationError as exc:
+        raise ValueError(_NOT_CONFERENCE) from exc
 
 
 def conference_mps(conference) -> IntegerMps:
     """A symmetric conference matrix of order n as a member of M_n^R(0)."""
-    return IntegerMps(d=Fraction(0), two_q=2 * _symmetric_conference(conference))
+    return _from_conference(Fraction(0), conference, lambda c: 2 * c)
 
 
 def conference_block_mps(conference) -> IntegerMps:
@@ -637,9 +652,11 @@ def conference_block_mps(conference) -> IntegerMps:
     Blocks [[I + C, C - I], [C - I, -(I + C)]]; the real specialization
     (angle 0) of the conference-block family.
     """
-    c = _symmetric_conference(conference)
-    eye = np.eye(c.shape[0], dtype=np.int64)
-    return IntegerMps(d=Fraction(1), two_q=2 * _block_scheme(eye + c, c - eye))
+    def doubled(c):
+        eye = np.eye(len(c), dtype=np.int64)
+        return _block_scheme(2 * (eye + c), 2 * (c - eye))
+
+    return _from_conference(Fraction(1), conference, doubled)
 
 
 def design_mps(design: SymmetricDesign, n: int, d) -> IntegerMps:
@@ -659,5 +676,5 @@ def design_mps(design: SymmetricDesign, n: int, d) -> IntegerMps:
             f"design is ({design.v}, {design.k}, {design.lam}), "
             f"need ({n // 2}, {params.k}, {params.lam})"
         )
-    g = 2 * design.incidence.astype(np.int64) - np.ones((design.v, design.v), np.int64)
+    g = 2 * design.incidence.astype(np.int64) - 1
     return _assemble_block_form(n, d, g)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, as_square_matrix, is_hermitian, is_unitary
+from .core import DEFAULT_TOL, _is_hermitian, _is_unitary, as_square_matrix
 
 __all__ = [
     "TrivialMatrixError",
@@ -230,7 +230,7 @@ def decompose_hermitian_unitary(
     """
     s = as_square_matrix(matrix).astype(complex)
     n = s.shape[0]
-    if not (is_hermitian(s, tol) and is_unitary(s, tol)):
+    if not (_is_hermitian(s, tol) and _is_unitary(s, tol)):
         raise ValueError("matrix is not Hermitian unitary within tolerance")
     m = int(round((n + np.trace(s).real) / 2))
     if not 0 < m < n:
@@ -298,7 +298,7 @@ def decompose_unitary(matrix, tol: float = DEFAULT_TOL) -> UnitaryParam:
     """
     u = as_square_matrix(matrix).astype(complex)
     n = u.shape[0]
-    if not is_unitary(u, tol):
+    if not _is_unitary(u, tol):
         raise ValueError("matrix is not unitary within tolerance")
     eye = np.eye(n)
     if np.max(np.abs(u + eye)) <= tol:

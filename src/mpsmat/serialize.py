@@ -289,26 +289,32 @@ def _complex_rows_to_obj(a: np.ndarray) -> list:
 def _complex_array(rows) -> np.ndarray:
     """Rows of [re, im] cells as a complex array; FormatError for anything else.
 
-    One scan checks that every cell holds two numbers (booleans are not
-    numbers); one float conversion of all rows, viewed as complex, does the rest.
+    The rows and each row are JSON arrays (lists or tuples).  One scan over
+    the numbers checks that every cell holds two of them (booleans are not
+    numbers); one float conversion of the flat numbers, viewed as complex,
+    does the rest.  Without cells there is no [re, im] axis: the shape is
+    (0,) or (rows, 0).
     """
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple))
+                                                      for row in rows):
+        raise FormatError(_NOT_PAIRS)
     try:
         cells = list(chain.from_iterable(rows))
         sizes = set(map(len, cells))
-        kinds = set(map(type, chain.from_iterable(cells)))
+        parts = list(chain.from_iterable(cells))
     except TypeError as exc:
         raise FormatError(_NOT_PAIRS) from exc
     if not sizes <= {2} or not all(issubclass(k, numbers.Real) and k is not bool
-                                   for k in kinds):
+                                   for k in set(map(type, parts))):
         raise FormatError(_NOT_PAIRS)
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise FormatError("complex rows must all have the same length")
     try:
-        a = np.array(rows, dtype=float)
+        a = np.array(parts, dtype=float)
     except OverflowError as exc:
         raise FormatError(_NOT_PAIRS) from exc
-    except ValueError as exc:
-        raise FormatError("complex rows must all have the same length") from exc
-    # Without cells there is no [re, im] axis: the shape stays (0,) or (rows, 0).
-    return a.view(complex)[..., 0] if a.ndim == 3 else a.astype(complex)
+    return a.view(complex).reshape(len(rows), *widths)
 
 
 def _complex_rows_from_obj(rows, shape) -> np.ndarray:

@@ -211,6 +211,49 @@ class TestConstructPinned:
         assert {k: v.hexdigest() for k, v in digests.items()} == self.DIGESTS
 
 
+class TestVerifyPinned:
+    # sha256 of verify's stdout and exit status on each construct output of
+    # the grid, and on four inputs that fail one check each.
+    DIGESTS = {
+        "full_j": "1f0bc16167b9b19a3c7cf1a1efc10554169a377bbfa7f124e167162c7376180e",
+        "n2": "82cc5674cbe81619c3c36c8a53744db1dac795a2f6b1b8ed15d23ecd8c603723",
+        "upper_interval": "f5911e3dff567d6dfe9feaa2846b6dc16a92a5abe85eed41fa3c39f7e9061fb7",
+        "hadamard_core": "726044572754f4df1132a8331cffb4d82b66c924ea67ca84537d81a64ab304b3",
+        "conference_core": "818239331644a834227c117fcdecec14c5eca8adf8522d2c54ec2ebb3c64cb9e",
+        "complex_core": "4cb5ebbf36ef6b2046965e2316a605cf7e1fab301c022cd921624cbf9c349313",
+        "conference_block": "8e89a1eab1c5c1ecfc465a493a1257175c58170f2ccd47e256308e86770e20a4",
+        "design_complex": "5766de4aa71dfa6e82a050729b25bc8084bbc622c4892b01c22b526027926134",
+        "design_real": "75bf8126da8d76375381c01e6941f7e78d366f68f8087762692049b1fb987f0f",
+        "failing": "4ac7df5cb0e36618217f446aa9ca6cf1d981787c0bcde2c37a6129e22a93d11b",
+    }
+
+    @staticmethod
+    def _verify(capsys, path, digest):
+        code = main(["verify", str(path)])
+        out = capsys.readouterr().out
+        digest.update(f"{out}\n{code}\n".encode())
+
+    def test_every_grid_report_is_pinned(self, capsys, tmp_path):
+        digests = {}
+        path = tmp_path / "m.json"
+        for family, n, d in _construct_grid():
+            argv = ["construct", "--family", family, "--n", str(n), "--out", str(path)]
+            if d is not None:
+                argv += ["--d", repr(d)]
+            if main(argv) == 0:
+                self._verify(capsys, path, digests.setdefault(family, hashlib.sha256()))
+            capsys.readouterr()
+        s = n2_matrix(0.7)
+        failing = [np.array([[0.0, -1.0], [1.0, 0.0]]),  # unitary, not Hermitian
+                   1.1 * s,                               # Hermitian, not unitary
+                   np.diag([1.0, -1.0, 1.0]),             # Hermitian unitary, not MPS
+                   np.array([[-1.0]])]                    # order 1
+        for m in failing:
+            path.write_text(dumps_matrix(m))
+            self._verify(capsys, path, digests.setdefault("failing", hashlib.sha256()))
+        assert {k: v.hexdigest() for k, v in digests.items()} == self.DIGESTS
+
+
 class TestClassify:
     def test_design_gap(self, capsys):
         code, obj = run_json(capsys, "classify", "--n", "26", "--d", "4")

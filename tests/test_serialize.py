@@ -456,18 +456,23 @@ def _gram_oracle(a):
     return [[_wrap(sum(x * y for x, y in zip(r, s))) for s in rows] for r in rows]
 
 
+def _is_pattern(gram, diag: int, off: int) -> bool:
+    """Whether a Gram matrix of Python ints is (diag - off) I + off J."""
+    return all(x == (diag if i == j else off)
+               for i, row in enumerate(gram) for j, x in enumerate(row))
+
+
 def _check_gram(a):
-    """_gram_equals holds against the oracle's Gram matrix and fails once any
-    one target entry moves by +-1."""
+    """_gram_equals agrees with the oracle's Gram matrix on the pair (diag,
+    off) read from it and on each pair one step away: the first holds when
+    the Gram matrix is (diag - off) I + off J, and the others fail."""
     a = np.asarray(a)
     exact = _gram_oracle(a)
-    target = np.array(exact, dtype=np.int64).reshape(a.shape[0], a.shape[0])
-    assert _gram_equals(a, target)
-    for i, j in np.ndindex(target.shape):
-        for step in (-1, 1):
-            moved = target.copy()
-            moved[i, j] = _wrap(exact[i][j] + step)
-            assert not _gram_equals(a, moved), (i, j, step)
+    diag = exact[0][0] if exact else 0
+    off = exact[0][1] if len(exact) > 1 else 0
+    for dd, oo in [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]:
+        pair = _wrap(diag + dd), _wrap(off + oo)
+        assert _gram_equals(a, *pair) == _is_pattern(exact, *pair), pair
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30, 61])
@@ -476,43 +481,55 @@ def test_gram_equals_matmul(n):
     signs = rng.choice([-1, 1], size=(n, n))
     two_q = 2 * signs
     np.fill_diagonal(two_q, rng.choice([-2, 2], size=n) * rng.integers(0, 40))
-    for a in (signs, two_q, signs.astype(np.int8), rng.choice([0, 1], size=(n, n))):
-        assert _gram_equals(a, a.astype(np.int64) @ a.astype(np.int64).T)
+    for a in (signs, two_q, signs.astype(np.int8), rng.choice([0, 1], size=(n, n)),
+              sylvester_hadamard(16)[:n, :16], full_j_mps(n + 1).two_q[:n]):
+        gram = (a.astype(np.int64) @ a.astype(np.int64).T).tolist()
+        for diag, off in [(gram[0][0], gram[0][-1]), (gram[-1][-1], gram[-1][0])]:
+            assert _gram_equals(a, diag, off) == _is_pattern(gram, diag, off)
     _check_gram(two_q)
 
 
 def test_gram_equals_on_a_stack():
-    # The target broadcasts over the stack; one bad matrix fails it.
+    # The two scalars hold for the whole stack; one bad matrix fails it.
     h = sylvester_hadamard(4)
     stack = np.array([2 * h, -2 * h, 2 * h[::-1, ::-1]], dtype=np.int8)
-    assert _gram_equals(stack, 16 * np.eye(4, dtype=np.int64))
+    assert _gram_equals(stack, 16, 0)
     stack[2, 0, 0] = -stack[2, 0, 0]
-    assert not _gram_equals(stack, 16 * np.eye(4, dtype=np.int64))
+    assert not _gram_equals(stack, 16, 0)
+    # Rows [x, y] and [-y, x] with x^2 + y^2 = 25: Gram 25 I each.
+    a = np.array([[[x, y], [-y, x]] for x, y in [(3, 4), (4, -3), (5, 0), (0, -5)]])
+    assert _gram_equals(a, 25, 0)
+    for diag, off in [(24, 0), (26, 0), (25, 1), (25, -1)]:
+        assert not _gram_equals(a, diag, off)
+    a[1, 1] = [4, 4]
+    assert not _gram_equals(a, 25, 0)
     rng = np.random.default_rng(3)
     a = rng.integers(-9, 10, size=(5, 4, 3))
-    target = np.array([_gram_oracle(x) for x in a], dtype=np.int64)
-    assert _gram_equals(a, target)
-    for k, i, j in [(0, 0, 0), (4, 1, 3), (2, 3, 2)]:
-        moved = target.copy()
-        moved[k, i, j] += 1
-        assert not _gram_equals(a, moved)
+    grams = [_gram_oracle(x) for x in a]
+    for gram in grams:
+        pair = gram[0][0], gram[0][1]
+        assert _gram_equals(a, *pair) == all(_is_pattern(g, *pair) for g in grams)
+    assert _gram_equals(np.ones((3, 4, 2), dtype=np.int8), 2, 2)
 
 
 def test_gram_is_exact_near_the_int64_limit():
     # Entries of 2 * 10^9: each product is 4e18, beyond float64's exact integers.
     _check_gram(np.array([[2 * 10**9, 2], [2, -2 * 10**9 + 1]], dtype=np.int64))
+    # Orthogonal rows of one norm, 4 * 10^18 + 4: float64 would round it.
+    _check_gram(np.array([[2 * 10**9, 2], [-2, 2 * 10**9]], dtype=np.int64))
 
 
 def test_gram_at_the_float64_bound():
     # n M^2 = 2 * (2^26)^2 = 2^53 exactly: the float64 product, which is exact.
     m = 2**26
     _check_gram([[m, m - 1], [-m, 3]])
+    _check_gram([[m, m - 1], [1 - m, m]])  # Gram (2^53 - 2^27 + 1) I
     _check_gram([[-m, -m], [m, -m]])
     # The Gram entry of [m, m] is 2^53, and float64 rounds a target of
     # 2^53 + 1 to it: the target needs its own bound.
     _check_gram([[m, m]])
     assert float(2**53 + 1) == 2**53
-    assert not _gram_equals(np.array([[m, m]]), np.array([[2**53 + 1]]))
+    assert not _gram_equals(np.array([[m, m]]), 2**53 + 1, 0)
 
 
 def test_gram_just_above_the_float64_bound():
@@ -522,6 +539,7 @@ def test_gram_just_above_the_float64_bound():
     a = [[m, m - 1], [1, -m]]
     assert float(m * m + (m - 1) ** 2) != m * m + (m - 1) ** 2
     _check_gram(a)
+    _check_gram([[m, m - 1], [1 - m, m]])  # Gram (2^53 + 2^27 + 1) I
 
 
 def test_gram_bound_holds_for_an_int64_min_entry():
@@ -531,6 +549,7 @@ def test_gram_bound_holds_for_an_int64_min_entry():
     assert np.abs(np.array([lo]))[0] < 0
     _check_gram([[lo, 1], [1, 1]])
     _check_gram([[1, 0], [0, lo]])
+    _check_gram([[lo, 1], [-1, lo]])  # Gram (2^126 + 1) I, which wraps to I
 
 
 def test_gram_bound_uses_the_row_length():
@@ -548,7 +567,7 @@ def test_gram_bound_uses_the_row_length():
 def test_gram_of_an_empty_matrix():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         _check_gram(np.zeros(shape, dtype=np.int64))
-    assert _gram_equals(np.zeros((0, 4, 4), dtype=np.int8), 16 * np.eye(4, dtype=np.int64))
+    assert _gram_equals(np.zeros((0, 4, 4), dtype=np.int8), 16, 0)
 
 
 def test_gram_of_an_odd_sum_above_two_to_the_53():
