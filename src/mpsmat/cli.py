@@ -444,11 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (search.TooLargeError, MemoryError) as exc:
         return _fail(str(exc) or "out of memory", EXIT_OPEN)
-    except SystemExit:
-        raise
     except (serialize.FormatError, json.JSONDecodeError) as exc:
         return _fail(f"bad input: {exc}")
-    except (ValueError, core.MpsError) as exc:
+    except ValueError as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -8,9 +8,11 @@ matrices of order N and symmetric (N-1, N/2-1, N/4-1)-designs.
 Every built-in auxiliary input comes from a ``provider_*`` function, which
 returns None where nothing is built in.
 
-All real-kind verification is exact: every real Gram identity, here and in
-the exact module, is one ``_gram_equals`` comparison.  Complex-kind checks
-use the shared numerical tolerance.
+The exact integer layer that the exact module shares lives here too:
+``_as_int64`` converts entries to int64 without rounding, and
+``_moduli_fault`` checks the moduli and orthogonality of 2Q, Hadamard and
+conference matrices alike.  So all real-kind verification is exact;
+complex-kind checks use the shared numerical tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "BadOrderError",
     "NotNormalizableError",
     "DesignInvalidError",
+    "NotInRangeError",
     "SymmetricDesign",
     "DesignParams",
     "verify_design",
@@ -57,20 +60,36 @@ class DesignInvalidError(ValueError):
     """Incidence matrix fails the symmetric design identities."""
 
 
-def _as_int_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a new square int64 array; TypeError unless every entry
-    is a real integer.  An array of an integer dtype that int64 holds is
-    copied after the dtype test, with no rounding pass, as in
-    ``exact._as_int64`` (which this module cannot import: exact imports it)."""
-    a = as_square_matrix(matrix)
+class NotInRangeError(ValueError):
+    """A ratio d outside an operation's validity range, or an entry beyond int64."""
+
+
+def _as_int64(values) -> np.ndarray:
+    """``values`` as an int64 array, converted exactly: an integer dtype that
+    int64 holds costs a dtype test, anything else is read as Python ints.
+    TypeError for a complex array or a non-integer entry, NotInRangeError for
+    an integer beyond int64."""
+    a = np.asarray(values)
     if np.can_cast(a.dtype, np.int64):
-        return a.astype(np.int64)
+        return a.astype(np.int64, copy=False)
     if np.iscomplexobj(a):
         raise TypeError("expected a real integer matrix")
-    b = np.asarray(np.rint(a), dtype=np.int64)
-    if np.max(np.abs(np.asarray(a, dtype=float) - b)) != 0:
+    entries = a.ravel().tolist()
+    try:
+        ints = [int(x) for x in entries]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != entries:
         raise TypeError("expected a matrix with exact integer entries")
-    return b
+    try:
+        return np.array(ints, dtype=np.int64).reshape(a.shape)
+    except OverflowError as exc:
+        raise NotInRangeError("entries beyond the int64 range") from exc
+
+
+def _as_int_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a new square int64 array, converted by ``_as_int64``."""
+    return np.array(_as_int64(as_square_matrix(matrix)))
 
 
 def _gram_equals(a: np.ndarray, diag: int, off: int) -> bool:
@@ -105,25 +124,41 @@ def _gram_equals(a: np.ndarray, diag: int, off: int) -> bool:
     return bool((gram == off).all())
 
 
+def _moduli_fault(a: np.ndarray, r: int, t: int) -> Optional[str]:
+    """The first test that an integer matrix or stack (..., n, n) fails:
+    "diagonal" unless every diagonal entry has modulus r, "off-diagonal"
+    unless every other entry has modulus t, "orthogonality" unless A A^T =
+    (r^2 + (n - 1) t^2) I; else None.  2Q has moduli (2d, 2), a Hadamard
+    matrix (1, 1), a conference matrix (0, 1)."""
+    # np.abs of the most negative integer is itself, which matches no modulus.
+    magnitudes = np.abs(a)
+    diagonal = np.diagonal(magnitudes, axis1=-2, axis2=-1)
+    if (diagonal != r).any():
+        return "diagonal"
+    # With the diagonal right, the count of entries of modulus t settles the rest.
+    if np.count_nonzero(magnitudes == t) != a.size - (r != t) * diagonal.size:
+        return "off-diagonal"
+    if not _gram_equals(a, r * r + (a.shape[-1] - 1) * t * t, 0):
+        return "orthogonality"
+    return None
+
+
 def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = False) -> bool:
     """Exact check that ``incidence`` is a symmetric (v, k, lam)-design matrix.
 
-    Requires A in {0,1}^{v x v} with A A^T = (k - lam) I + lam J and
-    A J = k J (constant row sums k), and v > k > lam >= 1.  With
-    ``allow_degenerate`` the bound relaxes to lam >= 0 (k = 1 designs whose
-    incidence matrix is a permutation matrix).
+    Requires A in {0,1}^{v x v} with A A^T = (k - lam) I + lam J, and
+    v > k > lam >= 1; the diagonal of A A^T is then the row sums, so
+    A J = k J.  With ``allow_degenerate`` the bound relaxes to lam >= 0
+    (k = 1 designs whose incidence matrix is a permutation matrix).  An
+    entry that is not an integer in the int64 range gives False.
     """
-    a = _as_int_matrix(incidence)
-    if a.shape != (v, v):
-        return False
-    if not np.all((a == 0) | (a == 1)):
+    try:
+        a = _as_int_matrix(incidence)
+    except (TypeError, NotInRangeError):
         return False
     lam_min = 0 if allow_degenerate else 1
-    if not (v > k > lam >= lam_min):
-        return False
-    if not _gram_equals(a, k, lam):
-        return False
-    return bool(np.all(a.sum(axis=1) == k))
+    return (v > k > lam >= lam_min and a.shape == (v, v)
+            and bool(np.all((a == 0) | (a == 1))) and _gram_equals(a, k, lam))
 
 
 @dataclass(frozen=True)
@@ -138,8 +173,7 @@ class SymmetricDesign:
 
     def __post_init__(self):
         a = _as_int_matrix(self.incidence)
-        allow = self.lam == 0
-        if not verify_design(a, self.v, self.k, self.lam, allow_degenerate=allow):
+        if not verify_design(a, self.v, self.k, self.lam, allow_degenerate=self.lam == 0):
             raise DesignInvalidError(
                 f"not a symmetric ({self.v}, {self.k}, {self.lam})-design"
             )
@@ -176,14 +210,9 @@ def _verify_unimodular(matrix, tol: float, conference: bool) -> bool:
     if not np.iscomplexobj(a):
         try:
             b = _as_int_matrix(a)
-        except TypeError:
+        except (TypeError, NotInRangeError):
             return False
-        # With the diagonal right, n (n - conference) entries of magnitude
-        # 1 means that every off-diagonal entry has it.
-        magnitudes = np.abs(b)
-        return (bool(np.all(np.diagonal(magnitudes) == 1 - conference))
-                and int(np.count_nonzero(magnitudes == 1)) == n * (n - conference)
-                and _gram_equals(b, n - conference, 0))
+        return _moduli_fault(b, 1 - conference, 1) is None
     magnitudes = np.abs(a)
     if np.max(np.abs(np.diagonal(magnitudes) - (1 - conference))) > tol:
         return False

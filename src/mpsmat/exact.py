@@ -4,8 +4,10 @@ A real member of M_n(d) is a scaled symmetric orthogonal matrix; multiplying
 by sqrt(d^2 + n - 1) gives a symmetric matrix Q with diagonal entries +-d and
 off-diagonal entries +-1 satisfying Q Q^T = (d^2 + n - 1) I.  Admissible d are
 integers (plus d = n/2 - 1 with denominator 2 when n is odd, and the n = 2
-family), so 2Q is an integer matrix and every identity in this module is
-checked in exact machine integers -- no floating point.
+family), so 2Q is an integer matrix with moduli 2d and 2, and every identity
+here is checked exactly.  Entries are converted and 2Q is checked by the
+designs module's ``_as_int64`` and ``_moduli_fault``, which serve Hadamard
+and conference matrices too; ``NotInRangeError`` is defined there.
 
 Contents: the IntegerMps value type, the equivalence-group transforms
 (simultaneous permutation, paired row/column sign flips, global negation),
@@ -24,8 +26,11 @@ from math import sqrt
 import numpy as np
 
 from .designs import (
+    NotInRangeError,
     SymmetricDesign,
+    _as_int64,
     _gram_equals,
+    _moduli_fault,
     design_params_for,
     hadamard_to_design,
     verify_hadamard,
@@ -65,39 +70,12 @@ class BlockTooSmallError(ValueError):
     """The leading diagonal block has fewer than three rows."""
 
 
-class NotInRangeError(ValueError):
-    """The ratio d lies outside the operation's validity range."""
-
-
 class WrongRatioError(ValueError):
     """The matrix ratio does not equal the required d = n/4 - 3/2."""
 
 
 class ParameterMismatchError(ValueError):
     """Design parameters do not match the requested (n, d)."""
-
-
-def _as_int64(values) -> np.ndarray:
-    """``values`` as an int64 array, converted exactly: TypeError for an entry
-    that is not an integer (``np.asarray(values, dtype=np.int64)`` would
-    truncate it), NotInRangeError for an integer beyond the int64 range.  An
-    array of an integer dtype that int64 holds costs only the dtype test."""
-    a = np.asarray(values)
-    if np.can_cast(a.dtype, np.int64):
-        return a.astype(np.int64, copy=False)
-    ints = []
-    for x in a.ravel().tolist():
-        try:
-            i = int(x)
-        except (TypeError, ValueError, OverflowError):
-            i = None
-        if i is None or i != x:
-            raise TypeError(f"expected exact integer entries, got {x!r}")
-        ints.append(i)
-    try:
-        return np.array(ints, dtype=np.int64).reshape(a.shape)
-    except OverflowError as exc:
-        raise NotInRangeError("entries beyond the int64 range") from exc
 
 
 def _as_fraction(d) -> Fraction:
@@ -121,11 +99,10 @@ class IntegerMps:
 
     def __post_init__(self):
         d = _as_fraction(self.d)
-        q = _as_int64(self.two_q)
+        q = np.array(_as_int64(self.two_q))
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("2Q must be square")
         object.__setattr__(self, "d", d)
-        q = np.array(q)
         q.setflags(write=False)
         object.__setattr__(self, "two_q", q)
         validate(self)
@@ -193,26 +170,22 @@ def validate(m: IntegerMps) -> None:
 _CHECK_CHUNK = 256
 
 
+_TWO_Q_FAULTS = {"diagonal": "diagonal entries must be +-2d",
+                 "off-diagonal": "off-diagonal entries must be +-2",
+                 "orthogonality": "orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails"}
+
+
 def _check_two_q(stack: np.ndarray, two_d: int) -> None:
     """Raise StructureViolationError unless every 2Q of a (k, n, n) stack is
     symmetric, +-2 off the diagonal and +-2d on it, with (2Q)(2Q)^T =
     (4d^2 + 4n - 4) I (in the int64 range, as the caller ensures)."""
-    n = stack.shape[-1]
     for lo in range(0, stack.shape[0], _CHECK_CHUNK):
         chunk = stack[lo:lo + _CHECK_CHUNK]
         if not np.array_equal(chunk, chunk.swapaxes(1, 2)):
             raise StructureViolationError("2Q must be symmetric")
-        # np.abs of the most negative integer is itself, which matches no modulus.
-        magnitudes = np.abs(chunk)
-        if (np.diagonal(magnitudes, axis1=1, axis2=2) != two_d).any():
-            raise StructureViolationError("diagonal entries must be +-2d")
-        # The diagonal is right, so the count of magnitudes 2 is k n (n - 1),
-        # plus the diagonal when 2d = 2.
-        if np.count_nonzero(magnitudes == 2) != len(chunk) * n * (n - (two_d != 2)):
-            raise StructureViolationError("off-diagonal entries must be +-2")
-        if not _gram_equals(chunk, two_d * two_d + 4 * (n - 1), 0):
-            raise StructureViolationError(
-                "orthogonality (2Q)(2Q)^T = (4d^2 + 4n - 4) I fails")
+        fault = _moduli_fault(chunk, two_d, 2)
+        if fault is not None:
+            raise StructureViolationError(_TWO_Q_FAULTS[fault])
 
 
 def encode_matrix(two_q: np.ndarray) -> np.ndarray:

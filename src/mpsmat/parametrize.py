@@ -49,6 +49,14 @@ class DegenerateSpecError(ValueError):
     """Quadratic spec with 4a + b^2 <= 0 (single repeated eigenvalue)."""
 
 
+def _check_t(t, m: int, n: int) -> np.ndarray:
+    t = np.asarray(t, dtype=complex)
+    if t.shape != (m, n - m):
+        raise ValueError(f"T must be {m} x {n - m}")
+    t.setflags(write=False)
+    return t
+
+
 def _check_perm(perm, n: int) -> tuple[int, ...]:
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(n)):
@@ -72,11 +80,7 @@ class HermitianUnitaryParam:
     def __post_init__(self):
         if not 1 <= self.m <= self.n - 1:
             raise ValueError("m must lie in {1, ..., n-1}")
-        t = np.asarray(self.t, dtype=complex)
-        if t.shape != (self.m, self.n - self.m):
-            raise ValueError(f"T must be {self.m} x {self.n - self.m}")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _check_t(self.t, self.m, self.n))
         object.__setattr__(self, "perm", _check_perm(self.perm, self.n))
 
     @classmethod
@@ -103,11 +107,7 @@ class UnitaryParam:
         if (self.t is None) != (self.m == self.n):
             raise ValueError("T must be given exactly when m < n")
         if self.t is not None:
-            t = np.asarray(self.t, dtype=complex)
-            if t.shape != (self.m, self.n - self.m):
-                raise ValueError(f"T must be {self.m} x {self.n - self.m}")
-            t.setflags(write=False)
-            object.__setattr__(self, "t", t)
+            object.__setattr__(self, "t", _check_t(self.t, self.m, self.n))
         s = np.asarray(self.s_h, dtype=complex)
         if s.shape != (self.m, self.m):
             raise ValueError(f"S_h must be {self.m} x {self.m}")
@@ -136,11 +136,15 @@ class QuadraticSpec:
         return ((self.b + s) / 2, (self.b - s) / 2)
 
 
-def _projector_core(m: int, n: int, t: np.ndarray) -> np.ndarray:
-    """[I; T*] (I + T T*)^{-1} [I  T] -- the rank-m projector onto the +1 space."""
+def _projector_core(t: np.ndarray, s_h: Optional[np.ndarray] = None) -> np.ndarray:
+    """[I; T*] (I + T T* + i S_h)^{-1} [I  T]; without S_h, the rank-m
+    projector onto the +1 space."""
+    m = t.shape[0]
     b = np.vstack([np.eye(m, dtype=complex), t.conj().T])
-    gram = np.eye(m, dtype=complex) + t @ t.conj().T
-    return b @ np.linalg.solve(gram, b.conj().T)
+    inner = np.eye(m, dtype=complex) + t @ t.conj().T
+    if s_h is not None:
+        inner += 1j * s_h
+    return b @ np.linalg.solve(inner, b.conj().T)
 
 
 def _assemble(core: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -157,7 +161,7 @@ def build_hermitian_unitary(param: HermitianUnitaryParam) -> np.ndarray:
 
     Always Hermitian unitary with trace 2m - n, by construction.
     """
-    return _assemble(_projector_core(param.m, param.n, param.t), param.perm)
+    return _assemble(_projector_core(param.t), param.perm)
 
 
 def eigenbasis_from_param(param: HermitianUnitaryParam) -> tuple[np.ndarray, np.ndarray]:
@@ -247,15 +251,10 @@ def build_unitary(param: UnitaryParam) -> np.ndarray:
     definite), so every parameter choice yields a unitary matrix whose
     eigenvalue -1 has multiplicity n - m.
     """
-    m = param.m
     if param.t is None:
-        inner = np.eye(m, dtype=complex) + 1j * param.s_h
-        core = np.linalg.inv(inner)
+        core = np.linalg.inv(np.eye(param.m, dtype=complex) + 1j * param.s_h)
     else:
-        t = param.t
-        b = np.vstack([np.eye(m, dtype=complex), t.conj().T])
-        inner = np.eye(m, dtype=complex) + t @ t.conj().T + 1j * param.s_h
-        core = b @ np.linalg.solve(inner, b.conj().T)
+        core = _projector_core(param.t, param.s_h)
     return _assemble(core, param.perm)
 
 

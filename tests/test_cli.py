@@ -14,8 +14,14 @@ from mpsmat.classify import necessary_conditions
 from mpsmat.cli import _parser, _verdict_text, main
 from mpsmat.designs import fourier_complex_hadamard, sylvester_hadamard
 from mpsmat.families import n2_matrix
-from mpsmat.parametrize import UnitaryParam, build_unitary
-from mpsmat.serialize import dumps_matrix, loads_matrix, matrix_to_obj, param_from_obj
+from mpsmat.parametrize import HermitianUnitaryParam, UnitaryParam, build_unitary
+from mpsmat.serialize import (
+    dumps_matrix,
+    loads_matrix,
+    matrix_to_obj,
+    param_from_obj,
+    param_to_obj,
+)
 
 
 def run(capsys, *argv):
@@ -488,6 +494,39 @@ class TestParamCommands:
             digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digests == self.ENCODE_DIGESTS
 
+    # sha256 of the ``param decode`` stdout for seeded parameter files: a
+    # Hermitian set (m = 2 of n = 5), a general set with T (m = 3 of n = 6)
+    # and one without (m = n = 4), each with a non-identity P.
+    DECODE_DIGESTS = {
+        "hermitian": "d360999a8f247da488d6c7ca63253542ed74dc3fd15d77c55fb7d339ae0dd11d",
+        "general": "d4e508a7e4fede7c38ad1a21ea87f4f09740d12e8937f369e875c31f27d1e7d4",
+        "general-no-t": "46ee6b448024e0e3091c8a881f3f707375eb208ef53d27067854c77f4b13ee3f",
+    }
+
+    def test_decode_output_pinned(self, capsys, tmp_path):
+        rng = np.random.default_rng(2011)
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        def hermitian(m):
+            a = gaussian(m, m)
+            return (a + a.conj().T) / 2
+
+        params = {
+            "hermitian": HermitianUnitaryParam(n=5, m=2, t=gaussian(2, 3), perm=(3, 0, 4, 1, 2)),
+            "general": UnitaryParam(n=6, m=3, t=gaussian(3, 3), s_h=hermitian(3),
+                                    perm=(5, 2, 0, 3, 1, 4)),
+            "general-no-t": UnitaryParam(n=4, m=4, t=None, s_h=hermitian(4), perm=(1, 3, 0, 2)),
+        }
+        digests = {}
+        for name, param in params.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(param_to_obj(param)))
+            assert main(["param", "decode", str(path)]) == 0
+            digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == self.DECODE_DIGESTS
+
 
 class TestDesignsCommands:
     def test_make_and_from_hadamard(self, capsys, tmp_path):
@@ -861,3 +900,40 @@ def test_malformed_complex_cells_fail_without_traceback(argv, doc, subprocess_en
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: bad input")
     assert "Traceback" not in proc.stderr
+
+
+_HERMITIAN_PARAMS = {"n": 2, "m": 1, "T": [[[1, 0]]], "S_h": None, "P": [1, 2]}
+
+#: Documents that each command refuses with one line: (argv, document,
+#: stdout, stderr).
+_REFUSED_DOCS = [
+    (["verify"], {"n": 2, "kind": "complex"},
+     "", "error: bad input: complex documents need an entries field\n"),
+    (["verify"], {"n": 2, "kind": "real-exact", "d": "1/1"},
+     "", "error: bad input: real-exact documents need a q_entries field\n"),
+    (["verify"], {"n": 1, "kind": "real-exact", "d": "1/1", "q_entries": [["1/1"]]},
+     "", "error: ValueError: order must be at least 2\n"),
+    (["param", "decode"], {**_HERMITIAN_PARAMS, "T": None},
+     "", "error: bad input: Hermitian parameters need T\n"),
+    (["param", "decode"], {**_HERMITIAN_PARAMS, "n": 3, "P": [1, 2, 3]},
+     "", "error: bad input: block must have shape (1, 2)\n"),
+    (["param", "decode"], {**_HERMITIAN_PARAMS, "S_h": [[[0, 1]]]},
+     "", "error: ValueError: S_h must be Hermitian exactly as stored\n"),
+    (["param", "decode"], {**_HERMITIAN_PARAMS, "n": 3, "T": [[[1, 0], [0, 0]]],
+                           "P": [1, 1, 3]},
+     "", "error: ValueError: perm must be a permutation of 0..2\n"),
+    (["param", "decode"], [],
+     "", "error: bad input: parameter document must be a JSON object\n"),
+    (["designs", "verify"], [],
+     '{"valid": false, "error": "design document must be a JSON object"}\n', ""),
+]
+
+
+@pytest.mark.parametrize("argv,doc,out,err", _REFUSED_DOCS)
+def test_refused_documents_exit_1_with_one_line(argv, doc, out, err, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    assert "Traceback" not in captured.err

@@ -9,6 +9,7 @@ from mpsmat.core import as_square_matrix
 from mpsmat.designs import (
     BadOrderError,
     DesignInvalidError,
+    NotInRangeError,
     NotNormalizableError,
     SymmetricDesign,
     design_params_for,
@@ -52,6 +53,16 @@ class TestVerifyDesign:
         bad = FANO.copy()
         bad[0, 0] = 0
         assert not verify_design(bad, 7, 3, 1)
+
+    @pytest.mark.parametrize("entry, dtype", [
+        (0.5, float), (1e30, float), (1, complex), (1j, complex), (2**63, np.uint64),
+    ], ids=["half", "beyond-int64-float", "complex-integral", "complex", "beyond-int64"])
+    def test_entries_that_are_no_int64_integers_give_false(self, entry, dtype):
+        # As verify_hadamard and verify_conference answer, not a TypeError.
+        a = FANO.astype(dtype)
+        assert verify_design(a, 7, 3, 1) == (dtype is not complex)
+        a[0, 0] = entry
+        assert verify_design(a, 7, 3, 1) is False
 
     def test_design_type_infers_parameters(self):
         d = SymmetricDesign(v=7, k=3, lam=1, incidence=FANO)
@@ -203,7 +214,8 @@ def _one_entry_changed(a):
 
 class TestAsIntMatrix:
     """Integer dtypes skip the rounding pass; every other input keeps the
-    outcome of the rounding path, the warnings it gives included."""
+    outcome of the rounding path, the warnings it gives included, except
+    uint64 values that float64 does not hold."""
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.bool_])
     def test_integer_dtypes_as_the_rounding_path(self, dtype, rng):
@@ -228,22 +240,29 @@ class TestAsIntMatrix:
         a = np.array([[2**62 + 1, -(2**53) - 1], [0, 1]], dtype=np.int64)
         assert designs._as_int_matrix(a).tolist() == a.tolist()
 
-    @pytest.mark.parametrize("matrix", [
-        np.full((2, 2), 2**63 + 5, dtype=np.uint64),
-        np.full((2, 2), 2**63 - 1, dtype=np.uint64),
-        np.array([[1, 2], [3, 4]], dtype=np.uint64),
-        np.array([[1.5, 0.0], [0.0, 1.0]]),
-        np.array([[1.0, -2.0], [0.0, 1.0]]),
-        np.array([[1.0, 0.0], [0.0, 1.0 + 1e-12]]),
-        np.array([[1 + 0j, 0], [0, 1]]),
-        np.array([[1 + 1j, 0], [0, 1]]),
-        np.array([[1, 0], [0, 1]], dtype=np.float32),
-    ], ids=["uint64-past-int64", "uint64-int64-max", "uint64-small", "half",
-            "integral-float", "near-integer", "complex-integral", "complex", "float32"])
+    @pytest.mark.parametrize("matrix, expected", [
+        (np.full((2, 2), 2**63 + 5, dtype=np.uint64),
+         (NotInRangeError, "entries beyond the int64 range")),
+        (np.full((2, 2), 2**63 - 1, dtype=np.uint64), (np.int64, [[2**63 - 1] * 2] * 2)),
+        (np.full((2, 2), 2**53 + 1, dtype=np.uint64), (np.int64, [[2**53 + 1] * 2] * 2)),
+        (np.array([[1, 2], [3, 4]], dtype=np.uint64), None),
+        (np.array([[1.5, 0.0], [0.0, 1.0]]), None),
+        (np.array([[1.0, -2.0], [0.0, 1.0]]), None),
+        (np.array([[1.0, 0.0], [0.0, 1.0 + 1e-12]]), None),
+        (np.array([[1 + 0j, 0], [0, 1]]), None),
+        (np.array([[1 + 1j, 0], [0, 1]]), None),
+        (np.array([[1, 0], [0, 1]], dtype=np.float32), None),
+    ], ids=["uint64-past-int64", "uint64-int64-max", "uint64-past-float", "uint64-small",
+            "half", "integral-float", "near-integer", "complex-integral", "complex", "float32"])
     @pytest.mark.parametrize("action", ["ignore", "error"])
-    def test_other_inputs_keep_their_outcome(self, matrix, action):
-        assert (_int_outcome(designs._as_int_matrix, matrix, action)
-                == _int_outcome(_reference_as_int_matrix, matrix, action))
+    def test_other_inputs_keep_their_outcome(self, matrix, expected, action):
+        # The rounding path read uint64 through float64: it took 2^53 + 1
+        # for 2^53 silently, and 2^63 - 1 for 2^63 with a warning, as it
+        # warned on 2^63 + 5.  The exact pass keeps the first two and refuses
+        # the third, with no warning under either action.
+        if expected is None:
+            expected = _int_outcome(_reference_as_int_matrix, matrix, action)
+        assert _int_outcome(designs._as_int_matrix, matrix, action) == expected
 
     @pytest.mark.parametrize("matrix", [
         *(sylvester_hadamard(2**t) for t in range(7)),
