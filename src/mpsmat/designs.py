@@ -88,8 +88,10 @@ def _as_int64(values) -> np.ndarray:
 
 
 def _as_int_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a new square int64 array, converted by ``_as_int64``."""
-    return np.array(_as_int64(as_square_matrix(matrix)))
+    """``matrix`` as a new square int64 array, converted by ``_as_int64``
+    before the square check: the check's finiteness test refuses object
+    arrays, so an entry such as None or 2**70 fails as a conversion."""
+    return np.array(as_square_matrix(_as_int64(matrix)))
 
 
 def _gram_equals(a: np.ndarray, diag: int, off: int) -> bool:
@@ -150,15 +152,23 @@ def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = 
     v > k > lam >= 1; the diagonal of A A^T is then the row sums, so
     A J = k J.  With ``allow_degenerate`` the bound relaxes to lam >= 0
     (k = 1 designs whose incidence matrix is a permutation matrix).  An
-    entry that is not an integer in the int64 range gives False.
+    input that is no square matrix of integers in the int64 range gives False.
     """
+    return _design_incidence(incidence, v, k, lam, allow_degenerate) is not None
+
+
+def _design_incidence(incidence, v: int, k: int, lam: int,
+                      allow_degenerate: bool) -> Optional[np.ndarray]:
+    """``incidence`` as a new int64 array if ``verify_design`` holds, else None."""
     try:
         a = _as_int_matrix(incidence)
-    except (TypeError, NotInRangeError):
-        return False
+    except (TypeError, ValueError):
+        return None
     lam_min = 0 if allow_degenerate else 1
-    return (v > k > lam >= lam_min and a.shape == (v, v)
-            and bool(np.all((a == 0) | (a == 1))) and _gram_equals(a, k, lam))
+    if (v > k > lam >= lam_min and a.shape == (v, v)
+            and bool(np.all((a == 0) | (a == 1))) and _gram_equals(a, k, lam)):
+        return a
+    return None
 
 
 @dataclass(frozen=True)
@@ -172,8 +182,9 @@ class SymmetricDesign:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        a = _as_int_matrix(self.incidence)
-        if not verify_design(a, self.v, self.k, self.lam, allow_degenerate=self.lam == 0):
+        a = _design_incidence(self.incidence, self.v, self.k, self.lam,
+                              allow_degenerate=self.lam == 0)
+        if a is None:
             raise DesignInvalidError(
                 f"not a symmetric ({self.v}, {self.k}, {self.lam})-design"
             )
@@ -204,15 +215,17 @@ def _verify_unimodular(matrix, tol: float, conference: bool) -> bool:
     """Whether every entry has modulus 1, except a zero diagonal when
     ``conference``, and M M* = (N - conference) I.  The real kind is checked
     exactly; the complex kind within tol per modulus and tol * N in the
-    Frobenius norm of the Gram residual."""
-    a = as_square_matrix(matrix)
-    n = a.shape[0]
+    Frobenius norm of the Gram residual.  A real entry that is no int64
+    integer, an object array's None or 2**70 included, gives False."""
+    a = np.asarray(matrix)
     if not np.iscomplexobj(a):
         try:
             b = _as_int_matrix(a)
         except (TypeError, NotInRangeError):
             return False
         return _moduli_fault(b, 1 - conference, 1) is None
+    a = as_square_matrix(a)
+    n = a.shape[0]
     magnitudes = np.abs(a)
     if np.max(np.abs(np.diagonal(magnitudes) - (1 - conference))) > tol:
         return False

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import numbers
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle
 from typing import Optional, Union
 
 import numpy as np
@@ -163,42 +163,73 @@ def matrix_from_obj(obj: dict) -> MatrixLike:
 
 def dumps_matrix(matrix: MatrixLike) -> str:
     """The matrix document, byte for byte ``json.dumps(matrix_to_obj(matrix),
-    indent=2)``, written directly: exact rows through the row formatter of the
-    search document, complex parts with ``float.__repr__`` (``json.dumps`` when
-    a part is not finite)."""
+    indent=2)``, written directly: exact rows by the writer of the search
+    document, as a stack of one, complex parts with ``float.__repr__``
+    (``json.dumps`` when a part is not finite)."""
     denominator, a = _values(matrix)
     if denominator is None:
-        head = f'{{\n  "n": {len(a)},\n  "kind": "complex",\n  "entries": '
-        body = _complex_rows(a)
-    else:
-        d = f'  "d": {json.dumps(_frac_str(matrix.d))},\n' if denominator == 2 else ""
-        head = f'{{\n  "n": {len(a)},\n  "kind": "real-exact",\n{d}  "q_entries": '
-        body = _exact_rows(a, denominator, 4)(a)
-    return head + (f"[\n{body}\n  ]" if body else "[]") + "\n}"
+        return (f'{{\n  "n": {len(a)},\n  "kind": "complex",\n  "entries": [\n'
+                f"{_complex_rows(a)}\n  ]\n}}")
+    d = f'  "d": {json.dumps(_frac_str(matrix.d))},\n' if denominator == 2 else ""
+    head = f'{{\n  "n": {len(a)},\n  "kind": "real-exact",\n{d}  "q_entries": [\n'
+    return "".join(_exact_text(a[None], denominator, 4, head, "\n  ]\n}"))
 
 
-def _exact_rows(values: np.ndarray, denominator: int, indent: int):
-    """The row formatter for matrices of the integer array ``values``: it takes
-    one matrix and returns the JSON lists of its rows, joined by ",\\n", each
-    an indented list of the "num/den" strings of value/denominator.  Every
-    distinct cell and row is formatted once."""
+#: Matrices per piece of text that ``_exact_text`` joins and yields: about
+#: 230 KB at order 8, so a search document is never held whole.
+_WRITE_CHUNK = 128
+
+
+class _CellTexts(dict):
+    """The text of each exact cell value, made on its first lookup: ``template``
+    filled with the "num/den" string of value/denominator."""
+
+    def __init__(self, template: str, denominator: int):
+        self.template, self.denominator = template, denominator
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.template.format(_frac_str(Fraction(value, self.denominator)))
+        return text
+
+
+def _exact_text(stack: np.ndarray, denominator: int, indent: int, head: str, close: str):
+    """Yield the text of the integer stack (k, n, n), k and n at least 1, in
+    pieces of ``_WRITE_CHUNK`` matrices.  Each matrix is ``head``, the JSON
+    lists of its rows joined by ",\\n" (each an indented list of the "num/den"
+    strings of value/denominator) and ``close``; matrices are joined by ",\\n".
+
+    A row's key is its bytes.  The distinct rows of the whole stack are found
+    once, by ``dict.fromkeys`` over the keys, and each distinct cell and row
+    is formatted once.  Every distinct row then has a text that ends in
+    ",\\n"; a row that ends a matrix other than the last has a second one, in
+    which ``close``, ",\\n" and the next ``head`` follow the row.  A piece is
+    one join of the texts that its rows' keys pick, and the stack's last row
+    takes the bare ``close``.  No Python code runs per row: the keys, the
+    lookups and the join run in C."""
+    k, n = stack.shape[:2]
+    step = _WRITE_CHUNK * n
+    rows = np.ascontiguousarray(stack).reshape(k * n, n)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    distinct: dict[bytes, None] = {}
+    for start in range(0, k * n, step):
+        distinct.update(dict.fromkeys(keys[start:start + step].tolist()))
+    values = np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(-1, n).tolist()
     pad = " " * indent
-    cells = {v: f"{pad}  " + json.dumps(_frac_str(Fraction(v, denominator)))
-             for v in np.unique(values).tolist()}
-    seen: dict[bytes, str] = {}
-
-    def rows_text(q: np.ndarray) -> str:
-        parts = []
-        for row in q:
-            key = row.tobytes()
-            text = seen.get(key)
-            if text is None:
-                text = seen[key] = (f"{pad}[\n" + ",\n".join(map(cells.__getitem__, row.tolist()))
-                                    + f"\n{pad}]")
-            parts.append(text)
-        return ",\n".join(parts)
-
-    return rows_text
+    cells = _CellTexts(f'{pad}  "{{}}"', denominator)
+    inner = {key: f"{pad}[\n" + ",\n".join(map(cells.__getitem__, row)) + f"\n{pad}],\n"
+             for key, row in zip(distinct, values)}
+    # [:-2] drops the inner text's ",\n".
+    ends = {key: inner[key][:-2] + close + ",\n" + head for key in set(keys[n - 1:-1:n].tolist())}
+    pick = [inner] * (n - 1) + [ends]
+    last = k * n - 1
+    for start in range(0, k * n, step):
+        stop = min(start + step, last)
+        parts = list(map(dict.__getitem__, cycle(pick), keys[start:stop].tolist()))
+        if not start:
+            parts.insert(0, head)
+        if stop == last:
+            parts.append(inner[keys[last].tobytes()][:-2] + close)
+        yield "".join(parts)
 
 
 def _complex_rows(c: np.ndarray) -> str:
@@ -247,9 +278,8 @@ def _write_matrices(fh, n: int, d_json: str, stack: np.ndarray) -> None:
         return
     head = (f'        {{\n          "n": {n},\n          "kind": "real-exact",\n'
             f'          "d": {d_json},\n          "q_entries": [\n')
-    rows_text = _exact_rows(stack, 2, 12)
-    for k, q in enumerate(stack):
-        fh.write((",\n" if k else "\n") + head + rows_text(q) + "\n          ]\n        }")
+    fh.write("\n")
+    fh.writelines(_exact_text(stack, 2, 12, head, "\n          ]\n        }"))
     fh.write("\n      ]")
 
 

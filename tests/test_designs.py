@@ -73,6 +73,29 @@ class TestVerifyDesign:
         with pytest.raises(DesignInvalidError):
             SymmetricDesign(v=7, k=3, lam=2, incidence=FANO)
 
+    @pytest.mark.parametrize("incidence", [
+        np.array([[1e30]]), np.array([[0.5]]), np.array([[1 + 0j]]), np.array([[0.5j]]),
+        np.array([[np.nan]]), np.array([[2**63]], dtype=np.uint64),
+        np.array([[None]], dtype=object), np.array([[2**70]], dtype=object),
+        np.ones((1, 2), dtype=np.int64), np.zeros((0, 0), dtype=np.int64),
+    ], ids=["beyond-int64-float", "half", "complex-integral", "complex", "nan",
+            "beyond-int64", "none", "beyond-int64-object", "not-square", "empty"])
+    def test_design_type_rejects_every_invalid_incidence_alike(self, incidence):
+        # Each one was a TypeError, NotInRangeError or the square check's
+        # ValueError; verify_design answers False for each.
+        assert verify_design(incidence, 1, 1, 0, allow_degenerate=True) is False
+        with pytest.raises(DesignInvalidError, match=r"not a symmetric \(1, 1, 0\)-design"):
+            SymmetricDesign(v=1, k=1, lam=0, incidence=incidence)
+
+    def test_design_type_converts_the_incidence_once(self, monkeypatch):
+        calls = []
+        convert = designs._as_int64
+        monkeypatch.setattr(designs, "_as_int64", lambda a: calls.append(1) or convert(a))
+        d = SymmetricDesign(v=7, k=3, lam=1, incidence=FANO.astype(float))
+        assert len(calls) == 1
+        assert d.incidence.dtype == np.int64 and np.array_equal(d.incidence, FANO)
+        assert not d.incidence.flags.writeable
+
 
 class TestSylvester:
     def test_order_one(self):
@@ -174,6 +197,16 @@ class TestVerifyUnimodular:
     def test_kinds(self, matrix, hadamard, conference):
         assert verify_hadamard(matrix) is hadamard
         assert verify_conference(matrix) is conference
+
+    @pytest.mark.parametrize("matrix, hadamard", [
+        ([[1, 2**70], [1, -1]], False), ([[0, 1], [1, None]], False),
+        (np.array([[0, 1], [1, 1j]], dtype=object), False), ([[1, 1], [1, np.nan]], False),
+        (np.array([[1, 1], [1, -1]], dtype=object), True),
+    ], ids=["beyond-int64", "none", "complex-object", "nan", "object-hadamard"])
+    def test_entries_the_finiteness_test_refuses(self, matrix, hadamard):
+        # np.isfinite refuses object arrays; these raised its TypeError.
+        assert verify_hadamard(matrix) is hadamard
+        assert verify_conference(matrix) is False
 
 
 def _reference_as_int_matrix(matrix):
