@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import numbers
 from fractions import Fraction
-from itertools import chain, cycle
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -176,7 +176,7 @@ def dumps_matrix(matrix: MatrixLike) -> str:
 
 
 #: Matrices per piece of text that ``_exact_text`` joins and yields: about
-#: 230 KB at order 8, so a search document is never held whole.
+#: 230 KB at order 8, so a 16 MB search document is never held whole.
 _WRITE_CHUNK = 128
 
 
@@ -192,43 +192,54 @@ class _CellTexts(dict):
         return text
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, list]:
+    """(ids, values) of the 2-D integer array ``rows``: the id of each row and
+    the values of the distinct rows, listed by id.  One ``lexsort`` brings
+    equal rows together and a compare of adjacent rows marks where each
+    distinct row starts."""
+    order = np.lexsort(rows.T)
+    ordered = np.take(rows, order, axis=0)
+    new = np.empty(len(rows), dtype=bool)
+    new[0] = True
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = new.cumsum() - 1
+    return ids, ordered[new].tolist()
+
+
 def _exact_text(stack: np.ndarray, denominator: int, indent: int, head: str, close: str):
     """Yield the text of the integer stack (k, n, n), k and n at least 1, in
     pieces of ``_WRITE_CHUNK`` matrices.  Each matrix is ``head``, the JSON
     lists of its rows joined by ",\\n" (each an indented list of the "num/den"
     strings of value/denominator) and ``close``; matrices are joined by ",\\n".
 
-    A row's key is its bytes.  The distinct rows of the whole stack are found
-    once, by ``dict.fromkeys`` over the keys, and each distinct cell and row
-    is formatted once.  Every distinct row then has a text that ends in
-    ",\\n"; a row that ends a matrix other than the last has a second one, in
-    which ``close``, ",\\n" and the next ``head`` follow the row.  A piece is
-    one join of the texts that its rows' keys pick, and the stack's last row
-    takes the bare ``close``.  No Python code runs per row: the keys, the
-    lookups and the join run in C."""
+    The distinct rows of a stack of several matrices are found once, by
+    ``_distinct_rows``; the rows of a single matrix are taken as they are,
+    since sorting them costs more than a repeated row saves.  Each distinct
+    cell and row is formatted once.  Of the m distinct rows, row i has two
+    texts: text i is the row and ",\\n"; text m + i is the row, ``close``,
+    ",\\n" and the next ``head``, for the last row of a matrix.  A piece is
+    one fancy index of the texts by its rows' codes and one join; the stack's
+    last row takes the bare ``close``.  No Python code runs per row."""
     k, n = stack.shape[:2]
-    step = _WRITE_CHUNK * n
-    rows = np.ascontiguousarray(stack).reshape(k * n, n)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    distinct: dict[bytes, None] = {}
-    for start in range(0, k * n, step):
-        distinct.update(dict.fromkeys(keys[start:start + step].tolist()))
-    values = np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(-1, n).tolist()
+    rows = stack.reshape(k * n, n)
+    codes, values = (np.arange(n), rows.tolist()) if k == 1 else _distinct_rows(rows)
+    m = len(values)
+    codes[n - 1::n] += m
     pad = " " * indent
     cells = _CellTexts(f'{pad}  "{{}}"', denominator)
-    inner = {key: f"{pad}[\n" + ",\n".join(map(cells.__getitem__, row)) + f"\n{pad}],\n"
-             for key, row in zip(distinct, values)}
-    # [:-2] drops the inner text's ",\n".
-    ends = {key: inner[key][:-2] + close + ",\n" + head for key in set(keys[n - 1:-1:n].tolist())}
-    pick = [inner] * (n - 1) + [ends]
-    last = k * n - 1
+    inner = [f"{pad}[\n" + ",\n".join(map(cells.__getitem__, row)) + f"\n{pad}],\n"
+             for row in values]
+    # [:-2] drops the ",\n" of an inner text.
+    mid = f"{close},\n{head}"
+    texts = np.array(inner + [t[:-2] + mid for t in inner], dtype=object)
+    step = _WRITE_CHUNK * n
     for start in range(0, k * n, step):
-        stop = min(start + step, last)
-        parts = list(map(dict.__getitem__, cycle(pick), keys[start:stop].tolist()))
+        parts = texts[codes[start:start + step]].tolist()
         if not start:
             parts.insert(0, head)
-        if stop == last:
-            parts.append(inner[keys[last].tobytes()][:-2] + close)
+        if start + step >= k * n:
+            parts[-1] = inner[codes[-1] - m][:-2] + close
         yield "".join(parts)
 
 
