@@ -219,6 +219,8 @@ def scattering_probabilities(matrix, edge: int, tol: float = DEFAULT_TOL) -> np.
     a wave entering on edge ``edge`` leaves on edge i with probability
     |S[i, edge]|^2; the entries sum to 1 and the diagonal one (the reflection
     probability) is d^2 / (d^2 + n - 1) for an MPS matrix of ratio d.
+    The sum, (S*S)_ee, is held to the unitarity bound tol * n, since
+    ||S*S - I||_F = ||SS* - I||_F for a square S.
     """
     a = as_square_matrix(matrix)
     n = a.shape[0]
@@ -228,6 +230,6 @@ def scattering_probabilities(matrix, edge: int, tol: float = DEFAULT_TOL) -> np.
         raise NotHermitianUnitaryError("matrix is not Hermitian unitary within tolerance")
     probs = np.abs(a[:, edge]) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > tol * n:
         raise NotHermitianUnitaryError("probabilities do not sum to 1")
     return probs

@@ -12,7 +12,9 @@ The exact integer layer that the exact module shares lives here too:
 ``_as_int64`` converts entries to int64 without rounding, and
 ``_moduli_fault`` checks the moduli and orthogonality of 2Q, Hadamard and
 conference matrices alike.  So all real-kind verification is exact;
-complex-kind checks use the shared numerical tolerance.
+complex-kind checks use the shared numerical tolerance, ``DEFAULT_TOL``.
+The three verifiers answer a bool for every input: anything that is no
+square matrix of their kind gives False.
 """
 
 from __future__ import annotations
@@ -145,27 +147,26 @@ def _moduli_fault(a: np.ndarray, r: int, t: int) -> Optional[str]:
     return None
 
 
-def verify_design(incidence, v: int, k: int, lam: int, allow_degenerate: bool = False) -> bool:
+def verify_design(incidence, v: int, k: int, lam: int) -> bool:
     """Exact check that ``incidence`` is a symmetric (v, k, lam)-design matrix.
 
     Requires A in {0,1}^{v x v} with A A^T = (k - lam) I + lam J, and
     v > k > lam >= 1; the diagonal of A A^T is then the row sums, so
-    A J = k J.  With ``allow_degenerate`` the bound relaxes to lam >= 0
-    (k = 1 designs whose incidence matrix is a permutation matrix).  An
-    input that is no square matrix of integers in the int64 range gives False.
+    A J = k J.  The degenerate lam = 0 designs (k = 1, a permutation
+    matrix) are left to ``SymmetricDesign``.  Any other input, one that is
+    no square matrix of integers in the int64 range included, gives False.
     """
-    return _design_incidence(incidence, v, k, lam, allow_degenerate) is not None
+    return lam >= 1 and _design_incidence(incidence, v, k, lam) is not None
 
 
-def _design_incidence(incidence, v: int, k: int, lam: int,
-                      allow_degenerate: bool) -> Optional[np.ndarray]:
-    """``incidence`` as a new int64 array if ``verify_design`` holds, else None."""
+def _design_incidence(incidence, v: int, k: int, lam: int) -> Optional[np.ndarray]:
+    """``incidence`` as a new int64 array if it is a symmetric (v, k, lam)-design
+    matrix with v > k > lam >= 0, else None."""
     try:
         a = _as_int_matrix(incidence)
     except (TypeError, ValueError):
         return None
-    lam_min = 0 if allow_degenerate else 1
-    if (v > k > lam >= lam_min and a.shape == (v, v)
+    if (v > k > lam >= 0 and a.shape == (v, v)
             and bool(np.all((a == 0) | (a == 1))) and _gram_equals(a, k, lam)):
         return a
     return None
@@ -173,7 +174,8 @@ def _design_incidence(incidence, v: int, k: int, lam: int,
 
 @dataclass(frozen=True)
 class SymmetricDesign:
-    """A verified symmetric (v, k, lam)-design with its 0/1 incidence matrix."""
+    """A verified symmetric (v, k, lam)-design with its 0/1 incidence matrix;
+    lam = 0 admits the degenerate (v, 1, 0) designs."""
 
     v: int
     k: int
@@ -182,8 +184,7 @@ class SymmetricDesign:
     degenerate: bool = field(init=False)
 
     def __post_init__(self):
-        a = _design_incidence(self.incidence, self.v, self.k, self.lam,
-                              allow_degenerate=self.lam == 0)
+        a = _design_incidence(self.incidence, self.v, self.k, self.lam)
         if a is None:
             raise DesignInvalidError(
                 f"not a symmetric ({self.v}, {self.k}, {self.lam})-design"
@@ -198,33 +199,44 @@ def identity_design(v: int) -> SymmetricDesign:
     return SymmetricDesign(v=v, k=1, lam=0, incidence=np.eye(v, dtype=np.int64))
 
 
-def verify_hadamard(matrix, tol: float = DEFAULT_TOL) -> bool:
+def verify_hadamard(matrix) -> bool:
     """True iff the matrix is a (real or complex) Hadamard matrix: unimodular
     entries and H H* = N I, exactly for the real kind (+-1 entries)."""
-    return _verify_unimodular(matrix, tol, conference=False)
+    return _verify_unimodular(matrix, DEFAULT_TOL, conference=False)
 
 
-def verify_conference(matrix, tol: float = DEFAULT_TOL) -> bool:
+def verify_conference(matrix) -> bool:
     """True iff the matrix is a (real or complex Hermitian) conference matrix:
     zero diagonal, unimodular off-diagonal entries and C C* = (N-1) I, exactly
     for the real kind (+-1 off the diagonal)."""
-    return _verify_unimodular(matrix, tol, conference=True)
+    return _verify_unimodular(matrix, DEFAULT_TOL, conference=True)
+
+
+def _real_unimodular(matrix, conference: bool) -> Optional[np.ndarray]:
+    """``matrix`` as a new int64 array if it is a real Hadamard matrix (a
+    conference matrix when ``conference``), else None."""
+    try:
+        a = _as_int_matrix(matrix)
+    except (TypeError, ValueError):
+        return None
+    return a if _moduli_fault(a, 1 - conference, 1) is None else None
 
 
 def _verify_unimodular(matrix, tol: float, conference: bool) -> bool:
     """Whether every entry has modulus 1, except a zero diagonal when
     ``conference``, and M M* = (N - conference) I.  The real kind is checked
     exactly; the complex kind within tol per modulus and tol * N in the
-    Frobenius norm of the Gram residual.  A real entry that is no int64
-    integer, an object array's None or 2**70 included, gives False."""
-    a = np.asarray(matrix)
-    if not np.iscomplexobj(a):
-        try:
-            b = _as_int_matrix(a)
-        except (TypeError, NotInRangeError):
-            return False
-        return _moduli_fault(b, 1 - conference, 1) is None
-    a = as_square_matrix(a)
+    Frobenius norm of the Gram residual.  Anything that is no
+    square matrix of the kind gives False: a ragged, 1-D, 3-D or empty
+    array, a non-finite entry, or a real entry that is no int64 integer
+    (an object array's None or 2**70 included)."""
+    try:
+        a = np.asarray(matrix)
+        if not np.iscomplexobj(a):
+            return _real_unimodular(a, conference) is not None
+        a = as_square_matrix(a)
+    except ValueError:
+        return False
     n = a.shape[0]
     magnitudes = np.abs(a)
     if np.max(np.abs(np.diagonal(magnitudes) - (1 - conference))) > tol:
@@ -299,9 +311,9 @@ def fourier_complex_hadamard(order: int) -> np.ndarray:
     return np.exp(h, out=h)
 
 
-def _zeros_to_diagonal(a: np.ndarray, tol: float) -> np.ndarray:
+def _zeros_to_diagonal(a: np.ndarray) -> np.ndarray:
     """Row-permute a conference-like matrix so its zeros sit on the diagonal."""
-    near_zero = np.abs(a) <= tol
+    near_zero = np.abs(a) <= DEFAULT_TOL
     if not np.all(near_zero.sum(axis=0) == 1) or not np.all(near_zero.sum(axis=1) == 1):
         raise NotNormalizableError("zero entries do not form a permutation pattern")
     if np.all(np.diagonal(near_zero)):
@@ -311,10 +323,10 @@ def _zeros_to_diagonal(a: np.ndarray, tol: float) -> np.ndarray:
     return a[order]
 
 
-def _unit_phase(x: np.ndarray, tol: float) -> np.ndarray:
+def _unit_phase(x: np.ndarray) -> np.ndarray:
     """The entrywise scaling that takes x to ones: conj(x)/|x|, or sign(x) for
     real x.  A zero first entry, the corner of a conference matrix, counts as 1."""
-    if abs(x[0]) <= tol:
+    if abs(x[0]) <= DEFAULT_TOL:
         x = x.copy()
         x[0] = 1
     if np.iscomplexobj(x):
@@ -322,7 +334,7 @@ def _unit_phase(x: np.ndarray, tol: float) -> np.ndarray:
     return np.sign(x).astype(np.int64)
 
 
-def normalize_to_standard(matrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def normalize_to_standard(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a Hadamard or conference matrix to the bordered standard form.
 
     Returns ``(standardized, core)`` where the standardized matrix has an
@@ -335,27 +347,28 @@ def normalize_to_standard(matrix, tol: float = DEFAULT_TOL) -> tuple[np.ndarray,
     congruence D C D*, which preserves hermiticity/symmetry; a
     conference-like matrix whose zeros are off the diagonal is first repaired
     by a row permutation (and rejected if its zeros are not a permutation
-    pattern).  A real Hadamard matrix must have exact integer entries.  The
-    operation is idempotent and preserves the defining Gram identity.
+    pattern).  Zeros and hermiticity are judged within DEFAULT_TOL.  A real
+    Hadamard matrix must have exact integer entries.  The operation is
+    idempotent and preserves the defining Gram identity.
     """
     a = as_square_matrix(matrix)
-    is_conference = bool(np.any(np.abs(a) <= tol))
+    is_conference = bool(np.any(np.abs(a) <= DEFAULT_TOL))
     if is_conference:
-        a = _zeros_to_diagonal(a, tol)
-        if is_hermitian(a, tol):
+        a = _zeros_to_diagonal(a)
+        if is_hermitian(a):
             # D C D* with D_j = C_0j (D_0 = 1) makes row and column 0 all ones
             # at once while preserving hermiticity.
             ref = a[0].copy()
             ref[0] = 1
-            if np.any(np.abs(ref) <= tol):
+            if np.any(np.abs(ref) <= DEFAULT_TOL):
                 raise NotNormalizableError("first row contains unexpected zeros")
-            dvec = _unit_phase(ref.conj(), tol)
+            dvec = _unit_phase(ref.conj())
             std = dvec[:, None] * a * dvec.conj()[None, :]
             return std, std[1:, 1:].copy()
     elif not np.iscomplexobj(a):
         a = _as_int_matrix(a)
-    std = a * _unit_phase(a[0], tol)[None, :]
-    std = _unit_phase(std[:, 0], tol)[:, None] * std
+    std = a * _unit_phase(a[0])[None, :]
+    std = _unit_phase(std[:, 0])[:, None] * std
     return std, std[1:, 1:].copy()
 
 
@@ -406,13 +419,14 @@ def hadamard_to_design(hadamard) -> SymmetricDesign:
     The matrix is normalized to the bordered form and the design incidence is
     A = (J + K)/2 with K the core.  Degenerate for N = 4 (lam = 0).
     """
-    if np.iscomplexobj(hadamard) or not verify_hadamard(hadamard):
+    h = _real_unimodular(hadamard, conference=False)
+    if h is None:
         raise ValueError("input is not a real Hadamard matrix")
-    h = _as_int_matrix(hadamard)
     n = h.shape[0]
     if n < 4 or n % 4:
         raise BadOrderError(f"Hadamard order {n} is not a multiple of 4 (>= 4)")
-    _, core = normalize_to_standard(h)
+    # Dephased by the first row, then the first column: +-1 is its own sign.
+    core = h[0, 0] * h[1:, :1] * h[1:, 1:] * h[0, 1:]
     v = n - 1
     a = (np.ones((v, v), dtype=np.int64) + core) // 2
     return SymmetricDesign(v=v, k=n // 2 - 1, lam=n // 4 - 1, incidence=a)

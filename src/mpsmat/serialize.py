@@ -388,6 +388,9 @@ def param_from_obj(obj: dict) -> HermitianUnitaryParam | UnitaryParam:
         perm = tuple(_json_int(x, "P entry") - 1 for x in obj["P"])
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad parameter document: {exc}") from exc
+    # Before the blocks, whose shapes (m, n - m) and (m, m) m sets.
+    if not 1 <= m <= n:
+        raise FormatError(f"m must lie in 1..{n}, got {m}")
     t_obj = obj.get("T")
     s_obj = obj.get("S_h")
     t = None if t_obj is None else _complex_rows_from_obj(t_obj, (m, n - m))

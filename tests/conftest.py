@@ -55,6 +55,13 @@ def random_hermitian_unitary(n: int, m: int, rng: np.random.Generator) -> np.nda
     return (s + s.conj().T) / 2
 
 
+def raises_exactly(error: type, message: str, call) -> None:
+    """``call()`` raises ``error`` itself, not a subclass, with ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -602,6 +602,16 @@ class TestBridgeExtractScatter:
         assert obj["probabilities"] == pytest.approx([0.25] * 4)
         assert obj["ratio_d_squared"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_scatter_takes_what_verify_accepts(self, capsys, tmp_path):
+        # The column sum is (S*S)_ee, held to the unitarity bound tol * n.
+        m_path = tmp_path / "m.json"
+        m_path.write_text(dumps_matrix((1 + 1e-9) * (np.eye(10) - 0.2)))
+        code, report = run_json(capsys, "verify", str(m_path))
+        assert code == 0 and report["unitary"] and report["mps"]
+        code, obj = run_json(capsys, "scatter", str(m_path), "--edge", "1")
+        assert code == 0
+        assert obj["probabilities"] == pytest.approx([0.64] + [0.04] * 9)
+
     def test_scatter_bad_edge(self, capsys, tmp_path):
         m_path = tmp_path / "m.json"
         main(["construct", "--family", "full_j", "--n", "4",
@@ -926,6 +936,9 @@ _REFUSED_DOCS = [
      "", "error: bad input: parameter document must be a JSON object\n"),
     (["designs", "verify"], [],
      '{"valid": false, "error": "design document must be a JSON object"}\n', ""),
+    # m is checked before the blocks it shapes.
+    (["param", "decode"], {**_HERMITIAN_PARAMS, "m": 3, "T": [[[1, 0]]] * 3},
+     "", "error: bad input: m must lie in 1..2, got 3\n"),
 ]
 
 

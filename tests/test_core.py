@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import raises_exactly
 from mpsmat.core import (
     BALANCED,
     IMPOSSIBLE,
     NotHermitianUnitaryError,
     NotMpsError,
+    _profile,
     check_d_bound,
     check_trace_identity,
     d_from_mp,
@@ -207,6 +209,17 @@ class TestScattering:
             probs = scattering_probabilities(full_j(n), n - 1)
             assert abs(probs.sum() - 1.0) <= 1e-9
 
+    def test_sum_held_to_the_unitarity_bound(self):
+        # (1 + 1e-9) S is unitary within tol * n = 1e-8 at n = 10, and each
+        # column sum is 1 + 2e-9: past tol, inside tol * n.
+        s = (1 + 1e-9) * full_j(10)
+        assert is_unitary(s)
+        probs = scattering_probabilities(s, 0)
+        assert probs.sum() == pytest.approx(1 + 2e-9, abs=1e-15)
+        with pytest.raises(NotHermitianUnitaryError,
+                           match="^matrix is not Hermitian unitary within tolerance$"):
+            scattering_probabilities((1 + 2e-9) * full_j(10), 0)
+
     def test_edge_out_of_range(self):
         with pytest.raises(IndexError):
             scattering_probabilities(full_j(4), 4)
@@ -225,3 +238,28 @@ class TestScattering:
             probs1 = scattering_probabilities(s, int(perm[j]))
             assert np.allclose(np.sort(probs1), np.sort(probs2), atol=1e-9)
             assert probs2[j] == pytest.approx(probs1[int(perm[j])], abs=1e-9)
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_d_bound(0, 1), ValueError, "order must be positive"),
+    (lambda: check_d_bound(4, -1), ValueError, "ratio d must be non-negative"),
+    (lambda: mps_profile(np.array([[0, 1j], [1j, 0]])), NotHermitianUnitaryError,
+     "matrix is not Hermitian within tolerance"),
+    # Hermitian within tol bounds an imaginary diagonal part by tol / 2, so
+    # only a caller of _profile itself meets this one.
+    (lambda: _profile(np.array([[0.6j, 0.8], [0.8, -0.6j]]), 1e-9), NotHermitianUnitaryError,
+     "diagonal entries are not real"),
+    # Two 2 x 2 swaps: a zero diagonal, off-diagonal moduli 1 and 0.
+    (lambda: mps_profile(np.kron(np.eye(2), _SWAP)), NotMpsError,
+     "off-diagonal moduli are not constant"),
+    # Zero diagonal and trace at odd n: m = n / 2 is no integer.  The matrix
+    # is not unitary, so mps_profile refuses it first.
+    (lambda: _profile(0.5 * (np.ones((3, 3)) - np.eye(3)), 1e-9), NotHermitianUnitaryError,
+     "trace is not consistent with a {-1,+1} spectrum"),
+], ids=["d-bound-order", "d-bound-ratio", "profile-not-hermitian", "profile-complex-diagonal",
+        "profile-off-diagonal-moduli", "profile-trace"])
+def test_input_checks_raise(call, error, message):
+    raises_exactly(error, message, call)

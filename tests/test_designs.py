@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import raises_exactly
 from mpsmat import designs
 from mpsmat.core import as_square_matrix
 from mpsmat.designs import (
@@ -43,7 +44,9 @@ class TestVerifyDesign:
         assert verify_design(FANO, 7, 3, 1)
 
     def test_identity_degenerate(self):
-        assert verify_design(np.eye(5, dtype=int), 5, 1, 0, allow_degenerate=True)
+        # The (v, 1, 0)-designs are SymmetricDesign's alone; verify_design
+        # keeps lam >= 1.
+        assert SymmetricDesign(v=5, k=1, lam=0, incidence=np.eye(5, dtype=int)).degenerate
         assert not verify_design(np.eye(5, dtype=int), 5, 1, 0)
 
     def test_all_ones_rejected(self):
@@ -83,7 +86,7 @@ class TestVerifyDesign:
     def test_design_type_rejects_every_invalid_incidence_alike(self, incidence):
         # Each one was a TypeError, NotInRangeError or the square check's
         # ValueError; verify_design answers False for each.
-        assert verify_design(incidence, 1, 1, 0, allow_degenerate=True) is False
+        assert verify_design(incidence, 3, 2, 1) is False
         with pytest.raises(DesignInvalidError, match=r"not a symmetric \(1, 1, 0\)-design"):
             SymmetricDesign(v=1, k=1, lam=0, incidence=incidence)
 
@@ -207,6 +210,37 @@ class TestVerifyUnimodular:
         # np.isfinite refuses object arrays; these raised its TypeError.
         assert verify_hadamard(matrix) is hadamard
         assert verify_conference(matrix) is False
+
+
+_H2 = sylvester_hadamard(2)
+_NO_SQUARE_MATRIX = {
+    "non-square": np.ones((2, 3)),
+    "1-d": np.ones(4),
+    "0x0": np.zeros((0, 0)),
+    "3-d": np.stack([_H2, _H2]),
+}
+
+
+class TestTotalPredicates:
+    """verify_hadamard, verify_conference and verify_design answer False, and
+    raise nothing, for any argument that is no square matrix."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, complex, object],
+                             ids=["int", "float", "complex", "object"])
+    @pytest.mark.parametrize("shape", list(_NO_SQUARE_MATRIX))
+    def test_no_square_matrix_gives_false(self, shape, dtype):
+        a = _NO_SQUARE_MATRIX[shape].astype(dtype)
+        assert verify_hadamard(a) is False
+        assert verify_conference(a) is False
+        assert verify_design(a, 3, 2, 1) is False
+
+    @pytest.mark.parametrize("matrix", [
+        [[1, 1], [1]], [[1j, 1], [1]], [[0, 1], [1, 0], [1]], [[[1, 1], [1, -1]], [[1]]],
+    ], ids=["int", "complex", "conference-rows", "3-d"])
+    def test_ragged_list_gives_false(self, matrix):
+        assert verify_hadamard(matrix) is False
+        assert verify_conference(matrix) is False
+        assert verify_design(matrix, 3, 2, 1) is False
 
 
 def _reference_as_int_matrix(matrix):
@@ -432,12 +466,40 @@ class TestHadamardToDesign:
         with pytest.raises(BadOrderError):
             hadamard_to_design(sylvester_hadamard(2))
 
+    def test_converts_the_matrix_once(self, monkeypatch):
+        # The input is converted once, by the Hadamard check, and the
+        # incidence once, by SymmetricDesign.
+        h = sylvester_hadamard(8).astype(float)
+        calls = []
+        convert = designs._as_int64
+        monkeypatch.setattr(designs, "_as_int64", lambda a: calls.append(a) or convert(a))
+        d = hadamard_to_design(h)
+        assert [a is h for a in calls] == [True, False]
+        assert verify_design(d.incidence, 7, 3, 1)
+
+    @pytest.mark.parametrize("order", [4, 8, 12, 16])
+    def test_incidence_is_that_of_the_normalized_core(self, order, hadamard12, rng):
+        h = hadamard12 if order == 12 else sylvester_hadamard(order)
+        rows, cols = rng.permutation(order), rng.permutation(order)
+        signs_r, signs_c = rng.choice([-1, 1], size=(2, order))
+        scrambled = signs_r[:, None] * h[rows][:, cols] * signs_c[None, :]
+        _, core = normalize_to_standard(scrambled)
+        d = hadamard_to_design(scrambled)
+        assert np.array_equal(d.incidence, (1 + core) // 2)
+
+    def test_refuses_what_is_no_real_hadamard_matrix(self):
+        for matrix in (_H2.astype(complex), np.ones((4, 3)), [[1, 1], [1]], 2 * _H2):
+            with pytest.raises(ValueError, match="^input is not a real Hadamard matrix$"):
+                hadamard_to_design(matrix)
+
     def test_provider_chain(self):
-        # Every Sylvester order >= 4 must yield a verified design.
+        # Every Sylvester order >= 4 must yield a verified design; the
+        # (3, 1, 0)-design of order 4 is checked again by SymmetricDesign.
         for order in (4, 8, 16, 32):
             d = hadamard_to_design(sylvester_hadamard(order))
-            assert verify_design(d.incidence, d.v, d.k, d.lam,
-                                 allow_degenerate=True)
+            again = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, incidence=d.incidence)
+            assert again.degenerate is (order == 4)
+            assert verify_design(d.incidence, d.v, d.k, d.lam) is (order > 4)
 
 
 def test_identity_design():
@@ -455,3 +517,12 @@ def test_providers_return_none_where_nothing_is_built_in():
     assert provider_design(15, 7, 3).incidence.shape == (15, 15)
     assert provider_design(11, 5, 2) is None
     assert provider_design(1, 1, 0) is None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: design_params_for(7, 1), ValueError, "n must be even and at least 6"),
+    (lambda: design_params_for(8, 1.5), ValueError, "d must be a non-negative integer"),
+    (lambda: fourier_complex_hadamard(0), BadOrderError, "order must be positive"),
+], ids=["params-odd-n", "params-fractional-d", "fourier-order-0"])
+def test_input_checks_raise(call, error, message):
+    raises_exactly(error, message, call)

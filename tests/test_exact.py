@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import raises_exactly
 from mpsmat.designs import (
+    SymmetricDesign,
     design_params_for,
     hadamard_to_design,
     identity_design,
     paley_conference,
     sylvester_hadamard,
     verify_conference,
-    verify_design,
     verify_hadamard,
 )
 from mpsmat.exact import (
@@ -20,6 +21,7 @@ from mpsmat.exact import (
     BlockTooSmallError,
     IntegerMps,
     NotInRangeError,
+    ParameterMismatchError,
     StructureViolationError,
     Transform,
     WrongRatioError,
@@ -342,8 +344,9 @@ class TestExtractDesign:
             mu = int(structure_check(m).g.sum(axis=1)[0])
             signs.add(mu)
             design = extract_design(m)
-            assert verify_design(design.incidence, n // 2, params.k, params.lam,
-                                 allow_degenerate=True)
+            # SymmetricDesign checks the incidence: the (n/2, 1, 0)-designs
+            # of these ratios are degenerate, which verify_design refuses.
+            SymmetricDesign(v=n // 2, k=params.k, lam=params.lam, incidence=design.incidence)
             assert are_equivalent(m, design_mps(design, n, d)) is not None
             if (n, d) == (6, 0):
                 h = hadamard_bridge(m)
@@ -394,3 +397,30 @@ class TestConferenceBuilders:
         c = paley_conference(6)
         assert conference_mps(c.astype(float)) == conference_mps(c)
         assert conference_block_mps(c.astype(float)) == conference_block_mps(c)
+
+
+_SWAP_2Q = [[0, 2], [2, 0]]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntegerMps(d=0, two_q=np.zeros((2, 3), dtype=int)), ValueError, "2Q must be square"),
+    (lambda: IntegerMps(d=Fraction(1, 3), two_q=_SWAP_2Q), ValueError,
+     "2d must be an integer (denominator of d divides 2)"),
+    (lambda: IntegerMps(d=-1, two_q=_SWAP_2Q), ValueError, "ratio d must be non-negative"),
+    (lambda: Transform(perm=(0, 1), signs=(1, 1), global_sign=2), ValueError,
+     "global sign must be +-1"),
+    (lambda: three_row_counts(to_standard_form(full_j_mps(6)), 2, 2), ValueError,
+     "need 1 <= j < k <= p-1 (0-based rows of the leading block)"),
+    (lambda: two_by_two_mps(Fraction(1, 3)), ValueError, "exact 2x2 members need 2d integral"),
+    (lambda: upper_interval_mps(7, Fraction(5, 2)), ValueError, "n must be even and at least 4"),
+    (lambda: upper_interval_mps(8, 2), NotInRangeError,
+     "exact interval members exist at d = n/2 - 1 and n/2 - 3"),
+    (lambda: design_mps(fano_design(), 14, Fraction(5, 2)), ParameterMismatchError,
+     "design-built members need integer d"),
+    (lambda: design_mps(fano_design(), 12, 1), ParameterMismatchError,
+     "no design parameters exist for (n, d) = (12, 1)"),
+], ids=["not-square", "d-in-thirds", "negative-d", "global-sign", "rows-not-increasing",
+        "two-by-two-in-thirds", "interval-odd-n", "interval-off-endpoints",
+        "design-fractional-d", "design-no-parameters"])
+def test_input_checks_raise(call, error, message):
+    raises_exactly(error, message, call)

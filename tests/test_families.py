@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import raises_exactly
 from mpsmat import designs, exact, families
 from mpsmat.core import (
     check_trace_identity,
@@ -380,3 +381,43 @@ class TestRegistry:
         assert calls == []
         FAMILIES["conference_block"].exact(12, Fraction(1))
         assert calls == [6]
+
+
+# A skew conference matrix of order 4: neither symmetric nor Hermitian.
+_SKEW_CONFERENCE = np.array([[0, 1, 1, 1], [-1, 0, 1, -1], [-1, -1, 0, 1], [-1, 1, -1, 0]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: n2_matrix(-1), OutOfRangeError, "d must be non-negative"),
+    (lambda: upper_interval(7, 2.5), OutOfRangeError, "n must be even and at least 4"),
+    (lambda: hadamard_core_family(7, 2, sylvester_hadamard(4)), OutOfRangeError,
+     "n must be even and at least 4"),
+    (lambda: conference_core_family(9, 2, paley_conference(6)), OutOfRangeError,
+     "n must be even and at least 6"),
+    (lambda: complex_core_matrix(7), OutOfRangeError,
+     "n must be even and at least 6 (d = n/4 - 3/2 >= 0)"),
+    (lambda: conference_block_family(7, 0.5, paley_conference(6)), OutOfRangeError,
+     "n must be even and at least 4"),
+    (lambda: hadamard_core_family(14, 4, sylvester_hadamard(4)), NotHadamardError,
+     "need order 8, got 4"),
+    (lambda: conference_core_family(10, 2, paley_conference(14)), NotConferenceError,
+     "need order 6, got 14"),
+    (lambda: conference_block_family(12, 0.5, paley_conference(14)), NotConferenceError,
+     "need order 6, got 14"),
+    (lambda: conference_core_family(6, 0, _SKEW_CONFERENCE), NotConferenceError,
+     "auxiliary matrix must be real symmetric"),
+    (lambda: conference_block_family(8, 0.5, _SKEW_CONFERENCE), NotConferenceError,
+     "auxiliary conference matrix must be Hermitian"),
+    (lambda: conference_block_family(8, 0.5, np.ones((4, 4))), NotConferenceError,
+     "auxiliary matrix is not a conference matrix"),
+    # The Fano design reaches d in [2, 6] at n = 14.
+    (lambda: design_alpha_for_ratio(hadamard_to_design(sylvester_hadamard(8)), 1),
+     OutOfRangeError, "d must lie in [2.0, 6.0]"),
+], ids=["n2-negative-d", "interval-odd-n", "hadamard-core-odd-n", "conference-core-odd-n",
+        "complex-core-odd-n", "conference-block-odd-n", "hadamard-core-aux-order",
+        "conference-core-aux-order", "conference-block-aux-order",
+        "conference-core-not-symmetric", "conference-block-not-hermitian",
+        "conference-block-not-conference",
+        "design-alpha-out-of-range"])
+def test_input_checks_raise(call, error, message):
+    raises_exactly(error, message, call)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian_unitary, random_unitary
+from conftest import raises_exactly, random_hermitian_unitary, random_unitary
 from mpsmat.core import DEFAULT_TOL, as_square_matrix, is_hermitian, is_unitary
 from mpsmat.exact import full_j_mps
 from mpsmat.families import complex_core_matrix
@@ -633,3 +633,19 @@ class TestQuadratic:
         lam_plus, lam_minus = spec.eigenvalues
         assert np.linalg.norm(h @ plus - lam_plus * plus) < 1e-9
         assert np.linalg.norm(h @ minus - lam_minus * minus) < 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: HermitianUnitaryParam(n=3, m=1, t=np.zeros((1, 1)), perm=(0, 1, 2)), ValueError,
+     "T must be 1 x 2"),
+    (lambda: HermitianUnitaryParam(n=2, m=2, t=np.zeros((2, 0)), perm=(0, 1)), ValueError,
+     "m must lie in {1, ..., n-1}"),
+    (lambda: UnitaryParam(n=2, m=3, t=None, s_h=np.zeros((3, 3)), perm=(0, 1)), ValueError,
+     "m must lie in {1, ..., n}"),
+    (lambda: UnitaryParam(n=2, m=2, t=np.zeros((2, 0)), s_h=np.zeros((2, 2)), perm=(0, 1)),
+     ValueError, "T must be given exactly when m < n"),
+    (lambda: UnitaryParam(n=3, m=1, t=np.zeros((1, 2)), s_h=np.zeros((2, 2)), perm=(0, 1, 2)),
+     ValueError, "S_h must be 1 x 1"),
+], ids=["t-shape", "hermitian-m-range", "unitary-m-range", "t-given-at-m-n", "s-h-shape"])
+def test_input_checks_raise(call, error, message):
+    raises_exactly(error, message, call)

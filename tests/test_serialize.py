@@ -173,6 +173,15 @@ class TestParams:
         back = param_from_obj(obj)
         assert back.t is None
 
+    @pytest.mark.parametrize("m, t, s_h", [
+        (3, [[[1, 0]]] * 3, None), (0, [], None), (3, None, [[[0, 0]] * 3] * 3),
+        (-1, [[[1, 0]]], None),
+    ], ids=["past-n", "zero", "past-n-unitary", "negative"])
+    def test_m_outside_one_to_n_named(self, m, t, s_h):
+        obj = {"n": 2, "m": m, "T": t, "S_h": s_h, "P": [1, 2]}
+        with pytest.raises(FormatError, match=rf"^m must lie in 1\.\.2, got {m}$"):
+            param_from_obj(obj)
+
     @pytest.mark.parametrize("changes", [
         {"P": [1.9, 2]}, {"P": [True, 2]}, {"n": 2.7, "m": 1.2}, {"n": "2"},
         {"m": False}, {"P": "12"},
